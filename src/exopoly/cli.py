@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 import click
+import numpy as np
 
 from .polycore import rat
 from .quadrature import QuadratureConvergenceError, gram
@@ -430,13 +431,12 @@ def plotdata(case_str, ell, alpha, beta, nmax, points):
         _fail("--nmax must be >= 0", 1)
     base = default_grid(sys, points)
     lo, hi = base.x_min, base.x_max
-    step = (hi - lo) / (points - 1)
+    xs = lo + np.arange(points) * ((hi - lo) / (points - 1))
+    columns = [xs, potential_eval(sys, xs)]
+    columns += [wavefunction_eval(sys, k, xs) for k in range(nmax + 1)]
     header = ["x", "V"] + [f"phi{k}" for k in range(nmax + 1)]
     lines = [",".join(header)]
-    for i in range(points):
-        x = lo + i * step
-        row = [x, potential_eval(sys, x)]
-        row += [wavefunction_eval(sys, k, x) for k in range(nmax + 1)]
+    for row in zip(*(c.tolist() for c in columns)):
         lines.append(",".join(_fmt_float(v) for v in row))
     click.echo("\n".join(lines))
 

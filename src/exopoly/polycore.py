@@ -198,13 +198,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_float(self, x: float) -> float:
-        """64-bit floating Horner evaluation; exactness is not claimed."""
-        acc = 0.0
-        for c in reversed(self._coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def float_coeffs(self) -> list[float]:
         return [float(c) for c in self._coeffs]
 

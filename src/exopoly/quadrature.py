@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .polycore import Interval, Poly
-from .systems import XSystem, level_poly
+from .systems import XSystem, _horner, level_poly
 
 __all__ = [
     "QuadRule",
@@ -37,10 +37,12 @@ _ETA_CAP = 1e6  # drop mapped nodes beyond this on semi-infinite domains
 class QuadratureConvergenceError(RuntimeError):
     """Adaptive integration stalled; carries the best available estimate."""
 
-    def __init__(self, message: str, achieved: float, last_change: float):
-        super().__init__(f"{message} (achieved estimate {achieved!r}, last change {last_change!r})")
+    def __init__(self, message: str, achieved: float, last_change: float, nodes: int):
+        super().__init__(f"{message} after {nodes} nodes "
+                         f"(achieved estimate {achieved!r}, last change {last_change!r})")
         self.achieved = achieved
         self.last_change = last_change
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -182,14 +184,14 @@ def integrate(
             if n_nodes >= max_nodes:
                 raise QuadratureConvergenceError(
                     "integration non-convergence at requested tolerance",
-                    achieved=total, last_change=change,
+                    achieved=total, last_change=change, nodes=n_nodes,
                 )
         prev = total
         level += 1
 
 
-def _log_abs_poly(p: Poly, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.polynomial.polynomial.polyval(eta, np.array(p.float_coeffs()))
+def _log_abs_poly(coeffs: list[float], eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals = _horner(coeffs, eta)
     with np.errstate(divide="ignore"):
         return np.log(np.abs(vals)), np.sign(vals)
 
@@ -198,6 +200,7 @@ def _weighted_product_integrand(sys: XSystem, pn: Poly, pm: Poly):
     """Log-space integrand weight(eta) * pn * pm / xi^2; weight positive."""
     w = sys.weight
     s, a, b, c = float(w.s), float(w.a), float(w.b), float(w.c)
+    cn, cm, cxi = pn.float_coeffs(), pm.float_coeffs(), sys.xi.float_coeffs()
 
     def f(eta: np.ndarray) -> np.ndarray:
         eta = np.asarray(eta, dtype=float)
@@ -209,9 +212,9 @@ def _weighted_product_integrand(sys: XSystem, pn: Poly, pm: Poly):
                 log_w = log_w + b * np.log1p(-eta)
             if c:
                 log_w = log_w + c * np.log1p(eta)
-            ln_n, sg_n = _log_abs_poly(pn, eta)
-            ln_m, sg_m = _log_abs_poly(pm, eta)
-            ln_xi, _ = _log_abs_poly(sys.xi, eta)
+            ln_n, sg_n = _log_abs_poly(cn, eta)
+            ln_m, sg_m = _log_abs_poly(cm, eta)
+            ln_xi, _ = _log_abs_poly(cxi, eta)
             out = sg_n * sg_m * np.exp(log_w + ln_n + ln_m - 2.0 * ln_xi)
         return np.nan_to_num(out, nan=0.0, posinf=np.inf, neginf=-np.inf)
 
@@ -239,11 +242,18 @@ def gram(sys: XSystem, N: int, rtol: float = 1e-12) -> GramReport:
     """
     if N < 2:
         raise ValueError("need at least two levels")
+    polys = [level_poly(sys, n) for n in range(N)]
     raw = [[0.0] * N for _ in range(N)]
     for i in range(N):
         for j in range(i, N):
-            val = inner_product(sys, i, j, rtol=rtol)
-            raw[i][j] = raw[j][i] = val
+            f = _weighted_product_integrand(sys, polys[i], polys[j])
+            try:
+                raw[i][j] = raw[j][i] = integrate(f, sys.domain_eta, rtol=rtol)
+            except QuadratureConvergenceError as exc:
+                p = sys.params
+                exc.args = (f"case {sys.case.value} (ell={p.ell}, alpha={p.alpha}, "
+                            f"beta={p.beta}), pair ({i}, {j}): {exc}",)
+                raise
     for i in range(N):
         if raw[i][i] <= 0:
             raise RuntimeError(f"non-positive norm at level {i}")

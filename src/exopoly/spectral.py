@@ -78,11 +78,12 @@ def default_grid(sys: XSystem, points: int = 4000) -> GridSpec:
     return GridSpec(lo, hi, points)
 
 
-def tridiag_from_potential(v: Callable[[float], float], grid: GridSpec) -> Tridiag:
-    """Central-difference matrix: 2/h^2 + V(x_i) on the diagonal, -1/h^2 off."""
+def tridiag_from_potential(v: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> Tridiag:
+    """Central-difference matrix: 2/h^2 + V(x_i) on the diagonal, -1/h^2 off;
+    v maps the array of interior nodes x_i to the values V(x_i)."""
     h = grid.h
     xs = grid.interior()
-    vals = np.array([v(float(x)) for x in xs], dtype=float)
+    vals = np.asarray(v(xs), dtype=float)
     bad = np.nonzero(~np.isfinite(vals))[0]
     if bad.size:
         i = int(bad[0])
@@ -102,16 +103,16 @@ def discretize(sys: XSystem, grid: Optional[GridSpec] = None) -> Tridiag:
 def _count_below(diag: Sequence[float], off2: Sequence[float], sigma: float) -> int:
     """Eigenvalues of the tridiagonal matrix strictly below sigma, by the
     inertia of the LDL^T pivots of (T - sigma)."""
-    count = 0
-    q = 1.0
     tiny = 1e-300
-    for i, d in enumerate(diag):
-        q = d - sigma - (off2[i - 1] / q if i else 0.0)
+    q = diag[0] - sigma
+    count = 0
+    for d, e2 in zip(diag[1:], off2):
         if q == 0.0:
             q = -tiny
         if q < 0.0:
             count += 1
-    return count
+        q = d - sigma - e2 / q
+    return count + (q <= 0.0)
 
 
 def eigen_lowest(op: Tridiag, k: int) -> list[float]:
@@ -135,6 +136,7 @@ def eigen_lowest(op: Tridiag, k: int) -> list[float]:
     lo0 = min(d - r for d, r in zip(diag, radius))
     hi0 = max(d + r for d, r in zip(diag, radius))
     out = []
+    counts: dict[float, int] = {}  # the k bisections share their first midpoints
     for j in range(1, k + 1):
         lo, hi = lo0, hi0
         # invariant: count(lo) < j <= count(hi)
@@ -142,7 +144,9 @@ def eigen_lowest(op: Tridiag, k: int) -> list[float]:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if _count_below(diag, off2, mid) >= j:
+            if mid not in counts:
+                counts[mid] = _count_below(diag, off2, mid)
+            if counts[mid] >= j:
                 hi = mid
             else:
                 lo = mid

@@ -19,7 +19,7 @@ extj     rationally extended system on (0, pi/2) whose polynomial family
          starts at degree ell+1 above a constant ground level with E = 0.
 
 Everything symbolic is exact; floats only appear when a potential or wave
-function is evaluated at a numeric point.
+function is evaluated at numeric points.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from .classical import TheoremHypothesisError, jacobi, laguerre, nodeless_condition
 from .polycore import (
@@ -118,23 +120,15 @@ class Prepotential:
     beta: Optional[Fraction] = None
     quad_sign: Optional[int] = None
 
-    def w0(self, x: float) -> float:
-        if self.kind == "laguerre_like":
-            return self.quad_sign * x * x / 2 - float(self.alpha + Fraction(1, 2)) * math.log(x)
-        return (
-            -float(self.alpha + Fraction(1, 2)) * math.log(math.sin(x))
-            - float(self.beta + Fraction(1, 2)) * math.log(math.cos(x))
-        )
-
-    def v0(self, x: float) -> float:
-        """The undeformed part W0'^2 + W0'' of the potential."""
+    def v0(self, x: np.ndarray) -> np.ndarray:
+        """The undeformed part W0'^2 + W0'' of the potential, over an array."""
         a = self.alpha
         g = float((a + Fraction(1, 2)) * (a + Fraction(3, 2)))
         if self.kind == "laguerre_like":
             return x * x + g / (x * x) - 2 * self.quad_sign * float(a)
         b = self.beta
         h = float((b + Fraction(1, 2)) * (b + Fraction(3, 2)))
-        s, c = math.sin(x), math.cos(x)
+        s, c = _per_node(math.sin, x), _per_node(math.cos, x)
         return g / (s * s) + h / (c * c) - float(a + b + 1) ** 2
 
     def exp_w0_eta_exponents(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -176,8 +170,8 @@ class XSystem:
     p_prefactor: tuple[Fraction, Fraction, Fraction, Fraction]
     notes: tuple[str, ...] = ()
 
-    def eta_of_x(self, x: float) -> float:
-        return x * x if self.case.is_laguerre else math.cos(2 * x)
+    def eta_of_x(self, x: np.ndarray) -> np.ndarray:
+        return x * x if self.case.is_laguerre else _per_node(math.cos, 2 * x)
 
 
 # ---------------------------------------------------------------------------
@@ -517,48 +511,66 @@ def ode_residual(sys: XSystem, n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
+# float evaluation over arrays of points
 # ---------------------------------------------------------------------------
 
 
-def _require_interior(sys: XSystem, x: float) -> None:
+def _per_node(f: Callable[[float], float], t: np.ndarray) -> np.ndarray:
+    """f node by node, so exp, pow, sin and cos come from libm: numpy's own
+    differ from it in the last ulp on some nodes, and printed values must not."""
+    return np.fromiter(map(f, t.tolist()), float, len(t))
+
+
+def _horner(coeffs: list[float], eta):
+    """Float Horner evaluation of ascending coefficients, as acc * eta + c."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * eta + c
+    return acc
+
+
+def _interior(sys: XSystem, x) -> np.ndarray:
+    """x as a 1-d float array, every node inside the open physical domain."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = float(sys.domain_x.lo), float(sys.domain_x.hi)
-    if not (lo < x < hi):
-        raise ValueError(f"x={x} outside the open physical domain ({lo}, {hi})")
+    bad = np.flatnonzero(~((lo < xs) & (xs < hi)))
+    if bad.size:
+        raise ValueError(f"x={float(xs[bad[0]])} outside the open physical domain ({lo}, {hi})")
+    return xs
 
 
-def potential_eval(sys: XSystem, x: float) -> float:
-    """V(x) from the prepotential and deforming function."""
-    _require_interior(sys, x)
-    eta = sys.eta_of_x(x)
-    xi_val = sys.xi.eval_float(eta)
-    r = sys.xi.derivative().eval_float(eta) / xi_val
-    sgn = sys.c2_sign
-    bracket = (
-        2 * sys.eta_dot2.eval_float(eta) * r
-        - (2 * sys.Q.eval_float(eta) + sys.eta_ddot.eval_float(eta))
-        + sgn * sys.c1.eval_float(eta)
+def potential_eval(sys: XSystem, x):
+    """V(x) from the prepotential and deforming function; x is a float or a
+    1-d array of points, and the result takes the same form."""
+    xs = _interior(sys, x)
+    eta = sys.eta_of_x(xs)
+    xi, dxi, dot2, q, ddot, c1 = (
+        _horner(p.float_coeffs(), eta)
+        for p in (sys.xi, sys.xi.derivative(), sys.eta_dot2, sys.Q, sys.eta_ddot, sys.c1)
     )
-    return sys.w0.v0(x) + r * bracket + sgn * float(sys.xi_tilde_E)
+    r = dxi / xi
+    sgn = sys.c2_sign
+    v = sys.w0.v0(xs) + r * (2 * dot2 * r - (2 * q + ddot) + sgn * c1) + sgn * float(sys.xi_tilde_E)
+    return v if np.ndim(x) else float(v[0])
 
 
-def wavefunction_eval(sys: XSystem, level: int, x: float) -> float:
-    """Unnormalized eigenfunction of the given level at x."""
-    _require_interior(sys, x)
+def wavefunction_eval(sys: XSystem, level: int, x):
+    """Unnormalized eigenfunction of the given level; x is a float or a 1-d
+    array of points, and the result takes the same form."""
+    xs = _interior(sys, x)
     P = level_poly(sys, level)
     ps, pa, pb, pc = sys.p_prefactor
     ws, wa, wb, wc = sys.w0.exp_w0_eta_exponents()
     if sys.case.is_laguerre:
-        eta = x * x
-        exp_coeff = float(ws + ps)       # coefficient of eta in the exponent
+        exp_coeff = float(ws + ps)       # coefficient of eta = x^2 in the exponent
         x_power = float(2 * (wa + pa))   # eta^k = x^(2k)
-        value = math.exp(exp_coeff * eta) * x ** x_power
-    else:
-        eta = math.cos(2 * x)
-        one_minus = 2 * math.sin(x) ** 2
-        one_plus = 2 * math.cos(x) ** 2
-        value = one_minus ** float(wb + pb) * one_plus ** float(wc + pc)
-    return value * P.eval_float(eta) / sys.xi.eval_float(eta)
+        value = _per_node(lambda t: math.exp(exp_coeff * (t * t)) * t ** x_power, xs)
+    else:  # 1 - eta = 2 sin^2 x, 1 + eta = 2 cos^2 x
+        u, v = float(wb + pb), float(wc + pc)
+        value = _per_node(lambda t: (2 * math.sin(t) ** 2) ** u * (2 * math.cos(t) ** 2) ** v, xs)
+    eta = sys.eta_of_x(xs)
+    psi = value * _horner(P.float_coeffs(), eta) / _horner(sys.xi.float_coeffs(), eta)
+    return psi if np.ndim(x) else float(psi[0])
 
 
 def weight_exponents(sys: XSystem) -> WeightExponents:

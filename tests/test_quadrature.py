@@ -122,6 +122,17 @@ def test_gram_reports():
             assert abs(rep.matrix[i][j] - rep.matrix[j][i]) < 1e-13
 
 
+def test_gram_nonconvergence_names_case_parameters_pair_and_nodes():
+    # limit-circle point: the (1+eta)^(-1/2) weight factor defeats tanh-sinh
+    sys = build_system(Case.J1, Params(0, F(2), F(-1, 2)))
+    with pytest.raises(QuadratureConvergenceError) as err:
+        gram(sys, 2)
+    msg = str(err.value)
+    assert "case j1 (ell=0, alpha=2, beta=-1/2), pair (0, 0):" in msg
+    assert f"after {err.value.nodes} nodes" in msg
+    assert err.value.nodes >= 2 ** 14
+
+
 def test_gram_extj_includes_constant_ground_level():
     sys = build_system(Case.EXTJ, Params(2, F(-5, 2), F(-5, 2)))
     rep = gram(sys, 5)

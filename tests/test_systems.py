@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from exopoly.classical import laguerre
@@ -13,6 +14,7 @@ from exopoly.systems import (
     ParameterError,
     Params,
     _extj_bilinear,
+    _horner,
     _j2_direct,
     build_system,
     energy,
@@ -320,18 +322,18 @@ def test_l2_potential_matches_direct_rational_form():
     alpha, ell = F(-2), 1
     sys = build_system(Case.L2, Params(ell, alpha))
     a = float(alpha)
-    for x in (0.33, 1.0, 2.2, 3.7):
-        eta = x * x
-        xi = sys.xi.eval_float(eta)
-        r = sys.xi.derivative().eval_float(eta) / xi
-        explicit = (
-            x * x
-            + (a + 0.5) * (a + 1.5) / (x * x)
-            + 8 * r * (eta * (r - 1) + a + 0.5)
-            + 2 * (2 * ell - a)
-        )
-        got = potential_eval(sys, x)
-        assert abs(got - explicit) <= 1e-12 * max(1.0, abs(explicit))
+    x = np.array([0.33, 1.0, 2.2, 3.7])
+    eta = x * x
+    xi = _horner(sys.xi.float_coeffs(), eta)
+    r = _horner(sys.xi.derivative().float_coeffs(), eta) / xi
+    explicit = (
+        x * x
+        + (a + 0.5) * (a + 1.5) / (x * x)
+        + 8 * r * (eta * (r - 1) + a + 0.5)
+        + 2 * (2 * ell - a)
+    )
+    got = potential_eval(sys, x)
+    assert np.all(np.abs(got - explicit) <= 1e-12 * np.maximum(1.0, np.abs(explicit)))
 
 
 def test_j1_potential_finite_inside():
@@ -352,15 +354,14 @@ def test_out_of_domain_rejected():
 def test_extj_ground_state_assembly():
     sys = build_system(Case.EXTJ, Params(2, F(-5, 2), F(-5, 2)))
     assert level_poly(sys, 0) == ONE
-    for x in (0.3, 0.8, 1.2):
-        eta = math.cos(2 * x)
-        want = (
-            (2 * math.sin(x) ** 2) ** 1.0
-            * (2 * math.cos(x) ** 2) ** 1.0
-            / sys.xi.eval_float(eta)
-        )
-        got = wavefunction_eval(sys, 0, x)
-        assert abs(got - want) <= 1e-13 * abs(want)
+    x = np.array([0.3, 0.8, 1.2])
+    want = (
+        (2 * np.sin(x) ** 2)
+        * (2 * np.cos(x) ** 2)
+        / _horner(sys.xi.float_coeffs(), np.cos(2 * x))
+    )
+    got = wavefunction_eval(sys, 0, x)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_l2_wavefunction_small_x_asymptote():
@@ -418,6 +419,36 @@ def test_high_degree_stress():
                 assert proportionality(P, shifted_form_poly(sys, n)) == 1
 
 
+def _mp(fr):
+    import mpmath
+
+    return mpmath.mpf(fr.numerator) / fr.denominator
+
+
+def _phi_mp(sys, level, x):
+    """The level's eigenfunction assembled in mpmath arithmetic at mpf x."""
+    import mpmath
+
+    def horner(poly, t):
+        acc = mpmath.mpf(0)
+        for c in reversed(poly.coeffs):
+            acc = acc * t + _mp(c)
+        return acc
+
+    P = level_poly(sys, level)
+    ps, pa, pb, pc = sys.p_prefactor
+    ws, wa, wb, wc = sys.w0.exp_w0_eta_exponents()
+    if sys.case.is_laguerre:
+        eta = x * x
+        val = mpmath.exp(_mp(ws + ps) * eta) * x ** _mp(2 * (wa + pa))
+    else:
+        eta = mpmath.cos(2 * x)
+        u = 2 * mpmath.sin(x) ** 2
+        v = 2 * mpmath.cos(x) ** 2
+        val = u ** _mp(wb + pb) * v ** _mp(wc + pc)
+    return val * horner(P, eta) / horner(sys.xi, eta)
+
+
 def test_schrodinger_equation_pointwise_oracle():
     """High-precision check that -phi'' + V phi = E phi at sample points.
 
@@ -428,29 +459,6 @@ def test_schrodinger_equation_pointwise_oracle():
     import mpmath
 
     mpmath.mp.dps = 40
-
-    def mpf_of(fr):
-        return mpmath.mpf(fr.numerator) / fr.denominator
-
-    def horner(poly, x):
-        acc = mpmath.mpf(0)
-        for c in reversed(poly.coeffs):
-            acc = acc * x + mpf_of(c)
-        return acc
-
-    def phi_mp(sys, level, x):
-        P = level_poly(sys, level)
-        ps, pa, pb, pc = sys.p_prefactor
-        ws, wa, wb, wc = sys.w0.exp_w0_eta_exponents()
-        if sys.case.is_laguerre:
-            eta = x * x
-            val = mpmath.exp(mpf_of(ws + ps) * eta) * x ** mpf_of(2 * (wa + pa))
-        else:
-            eta = mpmath.cos(2 * x)
-            u = 2 * mpmath.sin(x) ** 2
-            v = 2 * mpmath.cos(x) ** 2
-            val = u ** mpf_of(wb + pb) * v ** mpf_of(wc + pc)
-        return val * horner(P, eta) / horner(sys.xi, eta)
 
     cases = [
         (Case.L2, Params(1, F(-2)), 1.1),
@@ -463,7 +471,7 @@ def test_schrodinger_equation_pointwise_oracle():
         sys = build_system(case, params)
         for level in (0, 2):
             E = float(energy(sys, level))
-            phi = lambda t: phi_mp(sys, level, mpmath.mpf(t))
+            phi = lambda t: _phi_mp(sys, level, mpmath.mpf(t))
             d2 = float(mpmath.diff(phi, mpmath.mpf(x0), 2))
             v = potential_eval(sys, x0)
             p0 = float(phi(mpmath.mpf(x0)))
@@ -472,3 +480,54 @@ def test_schrodinger_equation_pointwise_oracle():
             assert abs(resid) <= 1e-9 * scale, (case, level, resid, scale)
             # the float evaluator agrees with the high-precision assembly
             assert abs(wavefunction_eval(sys, level, x0) - p0) <= 1e-12 * max(abs(p0), 1e-30)
+
+
+def test_array_eval_matches_mpmath_on_representative_points():
+    """V and psi_0..3 over 200 interior nodes against 40-digit mpmath.
+
+    V is recomputed independently as E0 + phi0''/phi0.  Each column is judged
+    against |reference| plus its median magnitude, so a node of a wave
+    function does not demand relative accuracy at a zero.
+    """
+    import mpmath
+
+    from exopoly.spectral import default_grid
+    from exopoly.verify import REPRESENTATIVE
+
+    for case, params in REPRESENTATIVE.items():
+        sys = build_system(case, params)
+        xs = default_grid(sys, 200).interior()
+        got = [potential_eval(sys, xs)] + [wavefunction_eval(sys, k, xs) for k in range(4)]
+        ref = []
+        with mpmath.workdps(40):
+            e0 = _mp(energy(sys, 0))
+            phi0 = lambda t: _phi_mp(sys, 0, t)
+            for x in map(mpmath.mpf, xs.tolist()):
+                v = e0 + mpmath.diff(phi0, x, 2) / phi0(x)
+                ref.append([v] + [_phi_mp(sys, k, x) for k in range(4)])
+        ref = np.array(ref, dtype=float).T
+        for col, (g, r) in enumerate(zip(got, ref)):
+            bound = 1e-10 * (np.abs(r) + np.median(np.abs(r)))
+            assert np.all(np.abs(g - r) <= bound), (case, col)
+
+
+def test_array_with_out_of_domain_node_names_it():
+    sys = build_system(Case.L2, Params(1, F(-2)))
+    xs = np.array([0.5, 1.0, -0.25, 2.0, 0.0])
+    with pytest.raises(ValueError, match=r"x=-0\.25 outside"):
+        potential_eval(sys, xs)
+    with pytest.raises(ValueError, match=r"x=-0\.25 outside"):
+        wavefunction_eval(sys, 1, xs)
+
+
+def test_scalar_input_returns_float():
+    xs = np.array([0.3, 0.7, 1.1])
+    for sys in (build_system(Case.L2, Params(1, F(-2))),
+                build_system(Case.J1, Params(1, F(1, 2), F(-2)))):
+        for evaluate in (lambda x: potential_eval(sys, x),
+                         lambda x: wavefunction_eval(sys, 2, x)):
+            assert type(evaluate(0.7)) is float
+            values = evaluate(xs)
+            assert isinstance(values, np.ndarray) and values.shape == xs.shape
+            # node for node, the array call does the scalar call's arithmetic
+            assert values.tolist() == [evaluate(x) for x in xs.tolist()]
