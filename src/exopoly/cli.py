@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import sys as _sys
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import click
 import numpy as np
 
+from .classical import TheoremHypothesisError, count_zeros_exact, predict_zero_count
 from .polycore import rat
 from .quadrature import QuadratureConvergenceError, gram
 from .spectral import GridSpec, compare_spectrum, default_grid
@@ -34,7 +36,7 @@ from .systems import (
     potential_eval,
     wavefunction_eval,
 )
-from .verify import SUITES, run_suite
+from .verify import MUTANTS, SUITES, run_suite, zero_count_draws
 
 __all__ = ["main", "cli"]
 
@@ -117,9 +119,7 @@ def _build(case_str: str, ell: int, alpha: str, beta: Optional[str]) -> XSystem:
     b = _parse_rational(beta, "beta")
     try:
         return build_system(Case(case_str), Params(ell, a, b))
-    except ParameterError as exc:
-        _fail(str(exc), 1)
-    except NodelessnessError as exc:
+    except (ParameterError, NodelessnessError) as exc:
         _fail(str(exc), 1)
 
 
@@ -234,18 +234,14 @@ def construct(case_str, ell, alpha, beta, n_single, nmax, fmt):
 @click.option("--suite", "suites", multiple=True,
               type=click.Choice(sorted(SUITES)),
               help="Run only the named suites (repeatable); default: all.")
-@click.option("--inject", default=None, hidden=True,
+@click.option("--inject", type=click.Choice(MUTANTS), default=None, hidden=True,
               help="Test harness mode: inject a named defect.")
 def verify(suites, inject):
     """Run the verification suites; exit 2 on any failure."""
-    names = list(suites) or list(SUITES)
-    outcomes = []
-    for name in names:
-        kwargs = {}
-        if inject and name == "ode-residual":
-            kwargs["mutant"] = inject
-        out = run_suite(name, **kwargs)
-        outcomes.append(out)
+    outcomes = [
+        run_suite(name, mutant=inject) if name == "ode-residual" else run_suite(name)
+        for name in list(suites) or list(SUITES)
+    ]
     # wall-clock timing is intentionally omitted: output must be byte-stable
     _emit_json(
         [
@@ -351,8 +347,6 @@ def spectrum(case_str, ell, alpha, beta, k, points, x_min, x_max, tol):
 @click.option("--seed", type=int, default=7)
 def zeros(kind, ell, alpha, beta, sweep, seed):
     """Zero-count predictions vs exact Sturm counts; exit 2 on a mismatch."""
-    from .classical import TheoremHypothesisError, count_zeros_exact, predict_zero_count
-
     rows = []
     if sweep is None:
         if kind is None or ell is None or alpha is None:
@@ -368,28 +362,8 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
         exact = count_zeros_exact(kind, ell, a, b)
         rows.append((pred, exact))
     else:
-        import random
-
-        from .classical import binomial
-
-        rng = random.Random(seed)
-        while len(rows) < sweep:
-            k = rng.choice(("laguerre", "jacobi"))
-            n = rng.randint(1, 8)
-            den = rng.randint(1, 6)
-            a = Fraction(rng.randint(-10 * den, 6 * den), den)
-            if k == "laguerre":
-                if a.denominator == 1 and -n <= a <= -1:
-                    continue
-                pred = predict_zero_count(k, n, a)
-                exact = count_zeros_exact(k, n, a)
-            else:
-                b = Fraction(rng.randint(-10 * den, 6 * den), den)
-                if binomial(n + a, n) * binomial(n + b, n) == 0:
-                    continue
-                pred = predict_zero_count(k, n, a, b)
-                exact = count_zeros_exact(k, n, a, b)
-            rows.append((pred, exact))
+        for k, n, a, b in islice(zero_count_draws(seed), max(sweep, 0)):
+            rows.append((predict_zero_count(k, n, a, b), count_zeros_exact(k, n, a, b)))
     table = []
     mismatches = 0
     for pred, exact in rows:

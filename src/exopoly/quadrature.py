@@ -1,10 +1,9 @@
 """Numerical inner products under the deformed orthogonality weights.
 
 The closed-form norms of the deformed families involve non-elementary
-integrals, so orthogonality is checked numerically.  The workhorse is
-tanh-sinh (double-exponential) quadrature, which absorbs the algebraic
-endpoint singularities of the weights without case analysis; Gauss-Legendre
-rules are available for smooth finite-interval work.  Semi-infinite domains
+integrals, so orthogonality is checked numerically, by tanh-sinh
+(double-exponential) quadrature, which absorbs the algebraic endpoint
+singularities of the weights without case analysis.  Semi-infinite domains
 are brought to (0, 1) by eta = t / (1 - t), which presumes integrands with
 at least exponential decay (true of every weight here).
 """
@@ -120,21 +119,12 @@ def _ts_points(domain: Interval, level: int, only_new: bool):
 def make_rule(domain: Interval, scheme: str, level: int) -> QuadRule:
     """Build a quadrature rule on the domain.
 
-    gauss_legendre: 2^level nodes on a finite interval (exact through
-    polynomial degree 2^(level+1) - 1).  tanh_sinh: step 2^-level rule on a
-    finite or right-half-infinite interval, robust to integrable endpoint
+    The one scheme is tanh_sinh: the step 2^-level rule on a finite or
+    right-half-infinite interval, robust to integrable endpoint
     singularities.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    lo, hi = float(domain.lo), float(domain.hi)
-    if scheme == "gauss_legendre":
-        if math.isinf(lo) or math.isinf(hi):
-            raise ValueError("unsupported domain/scheme combination")
-        xs, ws = np.polynomial.legendre.leggauss(2 ** level)
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        return QuadRule(mid + half * xs, half * ws, domain, scheme)
     if scheme == "tanh_sinh":
         # nodes introduced at step lv carry weights built with h = 2^-lv;
         # rescale them to the final step 2^-level

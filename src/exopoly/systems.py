@@ -63,6 +63,7 @@ __all__ = [
     "level_count_offset",
     "proportionality",
     "ode_residual",
+    "xi_equation_residual",
     "potential_eval",
     "wavefunction_eval",
     "weight_exponents",
@@ -186,6 +187,12 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(f"parameter constraint violated: {message}")
 
 
+def xi_equation_residual(c2: Poly, c1: Poly, xi: Poly, xi_tilde_E: Fraction) -> Poly:
+    """c2 xi'' + c1 xi' + xi_tilde_E xi: the deforming-function equation,
+    the zero polynomial for a correctly built system."""
+    return c2 * xi.derivative().derivative() + c1 * xi.derivative() + xi_tilde_E * xi
+
+
 def build_system(case: Case, params: Params) -> XSystem:
     """Build and exactly verify one solvable system.
 
@@ -271,8 +278,7 @@ def build_system(case: Case, params: Params) -> XSystem:
     c2 = eta_dot2 * c2_sign
 
     # the xi-equation must hold as an exact polynomial identity
-    resid = c2 * xi.derivative().derivative() + c1 * xi.derivative() + xi_tilde_E * xi
-    if not resid.is_zero:
+    if not xi_equation_residual(c2, c1, xi, xi_tilde_E).is_zero:
         raise ConstructionError(
             f"deforming-function equation violated for case {case.value}"
         )
@@ -483,7 +489,7 @@ def proportionality(p: Poly, q: Poly) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def ode_residual(sys: XSystem, n: int) -> Poly:
+def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
     """Exact residual of the eigen-equation for family member n.
 
     Builds p = prefactor * P_n, substitutes into
@@ -492,8 +498,9 @@ def ode_residual(sys: XSystem, n: int) -> Poly:
 
     multiplies through by xi and strips the common algebraic prefactor.
     The result must be the zero polynomial for a correctly built system.
+    ``poly``, if given, stands in for P_n (to test the residual itself).
     """
-    P = exceptional_poly(sys, n)
+    P = exceptional_poly(sys, n) if poly is None else poly
     E = family_energy(sys, n)
     p = QuasiPoly(*sys.p_prefactor, P)
     p1 = p.derivative()

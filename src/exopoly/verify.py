@@ -13,7 +13,8 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from .classical import (
     IDENTITIES,
@@ -23,7 +24,7 @@ from .classical import (
     laguerre,
     predict_zero_count,
 )
-from .polycore import ETA, Interval, Poly, QuasiPoly, quasi_extract, sturm_count
+from .polycore import ETA, Interval, Poly, sturm_count
 from .quadrature import gram
 from .spectral import compare_spectrum, default_grid
 from .systems import (
@@ -32,15 +33,16 @@ from .systems import (
     XSystem,
     build_system,
     exceptional_poly,
-    family_energy,
-    shifted_form_poly,
     ode_residual,
     proportionality,
+    shifted_form_poly,
+    xi_equation_residual,
 )
 
 __all__ = [
     "VerifyOutcome",
     "SUITES",
+    "MUTANTS",
     "grid_params",
     "grid_systems",
     "run_suite",
@@ -50,6 +52,7 @@ __all__ = [
     "run_shifted_form_suite",
     "run_degree_node_suite",
     "run_zero_count_suite",
+    "zero_count_draws",
     "run_ortho_suite",
     "run_spectrum_suite",
 ]
@@ -130,59 +133,60 @@ def _random_rational(rng: random.Random, lo: int, hi: int, max_den: int = 6) -> 
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
+def _suite(name: str, checks: Iterable[tuple[str, bool, float]]) -> VerifyOutcome:
+    """Run one suite's checks, each a (label, ok, defect) triple.
+
+    The labels of failing checks become the details (the first 10 are
+    kept); the worst defect is the largest one seen.
+    """
+    t0 = time.monotonic()
+    checked = 0
+    worst = 0.0
+    details: list[str] = []
+    for label, ok, defect in checks:
+        checked += 1
+        worst = max(worst, defect)
+        if not ok:
+            details.append(label)
+    return VerifyOutcome(name, not details, checked, len(details), worst,
+                         time.monotonic() - t0, details[:10])
+
+
 def run_identity_suite(draws: int = 20, max_degree: int = 10, seed: int = 1) -> VerifyOutcome:
     """All derivative/contiguity identities, exact, over random parameters."""
-    rng = random.Random(seed)
-    t0 = time.monotonic()
-    checked = failures = 0
-    details: list[str] = []
-    for _ in range(draws):
-        ell = rng.randint(1, max_degree)
-        a = _random_rational(rng, -8, 8)
-        b = _random_rational(rng, -8, 8)
-        for name in IDENTITIES:
-            resid = identity_residual(name, ell, a, None if name.startswith("L") else b)
-            checked += 1
-            if not resid.is_zero:
-                failures += 1
-                details.append(f"{name} fails at ell={ell}, alpha={a}, beta={b}")
-    return VerifyOutcome("identities", failures == 0, checked, failures,
-                         0.0 if failures == 0 else 1.0,
-                         time.monotonic() - t0, details[:10])
+    def checks():
+        rng = random.Random(seed)
+        for _ in range(draws):
+            ell = rng.randint(1, max_degree)
+            a = _random_rational(rng, -8, 8)
+            b = _random_rational(rng, -8, 8)
+            for name in IDENTITIES:
+                ok = identity_residual(name, ell, a, None if name.startswith("L") else b).is_zero
+                yield f"{name} fails at ell={ell}, alpha={a}, beta={b}", ok, float(not ok)
+    return _suite("identities", checks())
 
 
 def run_xi_equation_suite(ells=(0, 1, 2, 3)) -> VerifyOutcome:
     """The deforming-function equation, exact, for every case and degree."""
-    t0 = time.monotonic()
-    checked = failures = 0
-    details: list[str] = []
-    for ell in ells:
-        for case in Case:
-            for params in grid_params(case, ell):
-                sys = build_system(case, params)
-                resid = (
-                    sys.c2 * sys.xi.derivative().derivative()
-                    + sys.c1 * sys.xi.derivative()
-                    + sys.xi_tilde_E * sys.xi
-                )
-                checked += 1
-                if not resid.is_zero:
-                    failures += 1
-                    details.append(f"xi-equation fails: {case.value} {params}")
-    return VerifyOutcome("xi-equation", failures == 0, checked, failures,
-                         0.0 if failures == 0 else 1.0,
-                         time.monotonic() - t0, details[:10])
+    def checks():
+        for sys in grid_systems(ells):
+            ok = xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
+            yield f"xi-equation fails: {sys.case.value} {sys.params}", ok, float(not ok)
+    return _suite("xi-equation", checks())
 
 
-def _mutated_poly(sys: XSystem, n: int, mutant: Optional[str]) -> Poly:
-    P = exceptional_poly(sys, n)
+# deliberate defects the ode-residual suite must catch (test harness mode)
+MUTANTS = ("p-l2-sign-flip",)
+
+
+def _mutated_poly(sys: XSystem, n: int, mutant: Optional[str]) -> Optional[Poly]:
+    """P_n carrying the named defect, or None where the defect does not apply."""
     if mutant == "p-l2-sign-flip" and sys.case is Case.L2:
-        # harness mode: flip the sign of the xi-proportional term, which a
-        # correct residual suite must catch
+        # flip the sign of the xi-proportional term
         a = sys.params.alpha
         U = laguerre(n, -a)
         return ETA * U * sys.xi.derivative() - (a - n) * laguerre(n, -a - 1) * sys.xi
-    return P
+    return None
 
 
 def run_ode_residual_suite(
@@ -190,159 +194,115 @@ def run_ode_residual_suite(
 ) -> VerifyOutcome:
     """Exact eigen-equation residuals across the grid.
 
-    ``mutant`` injects a deliberate defect (test harness mode) to demonstrate
-    that the suite fails loudly; production runs leave it None.
+    ``mutant`` (one of ``MUTANTS``) injects a deliberate defect to
+    demonstrate that the suite fails loudly; production runs leave it None.
     """
-    t0 = time.monotonic()
-    checked = failures = 0
-    details: list[str] = []
-    for sys in grid_systems(ells):
-        for n in range(n_max + 1):
-            if mutant is None:
-                resid = ode_residual(sys, n)
-            else:
-                P = _mutated_poly(sys, n, mutant)
-                E = family_energy(sys, n)
-                p = QuasiPoly(*sys.p_prefactor, P)
-                p1 = p.derivative()
-                mid = (2 * sys.Q + sys.eta_ddot) * sys.xi \
-                    - 2 * sys.eta_dot2 * sys.xi.derivative()
-                total = (
-                    p1.derivative().times_poly(sys.eta_dot2 * sys.xi)
-                    + p1.times_poly(mid)
-                    + p.times_poly(sys.xi).scaled(E)
-                )
-                resid = quasi_extract(total, total.prefactor)
-            checked += 1
-            if not resid.is_zero:
-                failures += 1
-                details.append(
-                    f"residual nonzero: {sys.case.value} ell={sys.params.ell} "
-                    f"alpha={sys.params.alpha} beta={sys.params.beta} n={n}"
-                )
-    return VerifyOutcome("ode-residual", failures == 0, checked, failures,
-                         0.0 if failures == 0 else 1.0,
-                         time.monotonic() - t0, details[:10])
+    if mutant is not None and mutant not in MUTANTS:
+        raise ValueError(f"unknown mutant {mutant!r}; have {list(MUTANTS)}")
+
+    def checks():
+        for sys in grid_systems(ells):
+            for n in range(n_max + 1):
+                ok = ode_residual(sys, n, _mutated_poly(sys, n, mutant)).is_zero
+                yield (f"residual nonzero: {sys.case.value} ell={sys.params.ell} "
+                       f"alpha={sys.params.alpha} beta={sys.params.beta} n={n}",
+                       ok, float(not ok))
+    return _suite("ode-residual", checks())
 
 
 def run_shifted_form_suite(ells=(1, 2, 3), n_max: int = 5) -> VerifyOutcome:
     """Exact proportionality between the two bilinear forms (nonzero constant)."""
-    t0 = time.monotonic()
-    checked = failures = 0
-    details: list[str] = []
-    for sys in grid_systems(ells):
-        if sys.case is Case.EXTJ:
-            continue
-        for n in range(n_max + 1):
-            checked += 1
-            try:
-                c = proportionality(exceptional_poly(sys, n), shifted_form_poly(sys, n))
-                if c == 0:
-                    raise ValueError("zero constant")
-            except ValueError as exc:
-                failures += 1
-                details.append(
-                    f"forms not proportional ({exc}): {sys.case.value} "
-                    f"{sys.params} n={n}"
-                )
-    return VerifyOutcome("shifted-form", failures == 0, checked, failures,
-                         0.0 if failures == 0 else 1.0,
-                         time.monotonic() - t0, details[:10])
+    def checks():
+        for sys in grid_systems(ells):
+            if sys.case is Case.EXTJ:
+                continue
+            for n in range(n_max + 1):
+                why = "zero constant"
+                try:
+                    ok = proportionality(exceptional_poly(sys, n), shifted_form_poly(sys, n)) != 0
+                except ValueError as exc:
+                    ok, why = False, exc
+                yield (f"forms not proportional ({why}): {sys.case.value} "
+                       f"{sys.params} n={n}"), ok, float(not ok)
+    return _suite("shifted-form", checks())
 
 
 def run_degree_node_suite(ells=(1, 2, 3), n_max: int = 5) -> VerifyOutcome:
     """deg P = ell+n (exceptional) or ell+n+1 with exactly n+1 interior
     roots (extended Jacobi), exact via Sturm counting."""
-    t0 = time.monotonic()
-    checked = failures = 0
-    details: list[str] = []
     unit = Interval(Fraction(-1), Fraction(1))
-    for sys in grid_systems(ells):
-        ell = sys.params.ell
-        for n in range(n_max + 1):
-            P = exceptional_poly(sys, n)
-            checked += 1
-            if sys.case is Case.EXTJ:
-                ok = P.degree() == ell + n + 1 and sturm_count(P, unit) == n + 1
-            else:
-                ok = P.degree() == ell + n
-            if not ok:
-                failures += 1
-                details.append(
-                    f"degree/node law fails: {sys.case.value} {sys.params} n={n}"
-                )
-    return VerifyOutcome("degree-node", failures == 0, checked, failures,
-                         0.0 if failures == 0 else 1.0,
-                         time.monotonic() - t0, details[:10])
+
+    def checks():
+        for sys in grid_systems(ells):
+            ell = sys.params.ell
+            for n in range(n_max + 1):
+                P = exceptional_poly(sys, n)
+                if sys.case is Case.EXTJ:
+                    ok = P.degree() == ell + n + 1 and sturm_count(P, unit) == n + 1
+                else:
+                    ok = P.degree() == ell + n
+                yield (f"degree/node law fails: {sys.case.value} {sys.params} n={n}",
+                       ok, float(not ok))
+    return _suite("degree-node", checks())
+
+
+def zero_count_draws(seed: int) -> Iterator[tuple[str, int, Fraction, Optional[Fraction]]]:
+    """Endless random (kind, n, alpha, beta) where the classical zero-count
+    theorems apply; beta is None for laguerre, and for jacobi it shares
+    alpha's denominator.  ``zeros --sweep`` and the zero-count suite draw
+    from this one stream."""
+    rng = random.Random(seed)
+
+    def rational(den: int) -> Fraction:
+        return Fraction(rng.randint(-10 * den, 6 * den), den)
+
+    while True:
+        kind = rng.choice(("laguerre", "jacobi"))
+        n = rng.randint(1, 8)
+        den = rng.randint(1, 6)
+        a = rational(den)
+        if kind == "laguerre":
+            if not (a.denominator == 1 and -n <= a <= -1):
+                yield kind, n, a, None
+        else:
+            b = rational(den)
+            if binomial(n + a, n) * binomial(n + b, n) != 0:
+                yield kind, n, a, b
 
 
 def run_zero_count_suite(points: int = 200, seed: int = 7) -> VerifyOutcome:
     """Classical zero-count predictions vs exact Sturm counts on random
     admissible parameters; the ambiguous middle branch is oracle-only and
     therefore excluded here."""
-    rng = random.Random(seed)
-    t0 = time.monotonic()
-    checked = failures = 0
-    details: list[str] = []
-    while checked < points:
-        kind = rng.choice(("laguerre", "jacobi"))
-        n = rng.randint(1, 8)
-        a = _random_rational(rng, -10, 6)
-        if kind == "laguerre":
-            if a.denominator == 1 and -n <= a <= -1:
-                continue
-            pred = predict_zero_count("laguerre", n, a)
-            if pred.oracle_resolved:
-                continue
-            exact = count_zeros_exact("laguerre", n, a)
-        else:
-            b = _random_rational(rng, -10, 6)
-            if binomial(n + a, n) * binomial(n + b, n) == 0:
-                continue
-            pred = predict_zero_count("jacobi", n, a, b)
-            exact = count_zeros_exact("jacobi", n, a, b)
-        checked += 1
-        if pred.count != exact:
-            failures += 1
-            details.append(f"{kind} n={n} alpha={a}: predicted {pred.count}, exact {exact}")
-    return VerifyOutcome("zero-count", failures == 0, checked, failures,
-                         0.0 if failures == 0 else 1.0,
-                         time.monotonic() - t0, details[:10])
+    def checks():
+        for kind, n, a, b in zero_count_draws(seed):
+            pred = predict_zero_count(kind, n, a, b)
+            if not pred.oracle_resolved:
+                exact = count_zeros_exact(kind, n, a, b)
+                ok = pred.count == exact
+                yield (f"{kind} n={n} alpha={a}: predicted {pred.count}, exact {exact}",
+                       ok, float(not ok))
+    return _suite("zero-count", islice(checks(), max(points, 0)))
 
 
 def run_ortho_suite(levels: int = 8, tol: float = 1e-10) -> VerifyOutcome:
     """Normalized off-diagonal Gram entries below tol for every case."""
-    t0 = time.monotonic()
-    checked = failures = 0
-    worst = 0.0
-    details: list[str] = []
-    for case, params in REPRESENTATIVE.items():
-        rep = gram(build_system(case, params), levels)
-        checked += 1
-        worst = max(worst, rep.max_offdiag)
-        if rep.max_offdiag >= tol:
-            failures += 1
-            details.append(f"{case.value}: max off-diagonal {rep.max_offdiag:.3e}")
-    return VerifyOutcome("orthogonality", failures == 0, checked, failures,
-                         worst, time.monotonic() - t0, details[:10])
+    def checks():
+        for case, params in REPRESENTATIVE.items():
+            worst = gram(build_system(case, params), levels).max_offdiag
+            # fails on >= tol, as `exopoly ortho` and `exopoly spectrum` do
+            yield f"{case.value}: max off-diagonal {worst:.3e}", not worst >= tol, worst
+    return _suite("orthogonality", checks())
 
 
 def run_spectrum_suite(k: int = 5, tol: float = 1e-3, points: int = 4000) -> VerifyOutcome:
     """Finite-difference spectra against the closed forms for every case."""
-    t0 = time.monotonic()
-    checked = failures = 0
-    worst = 0.0
-    details: list[str] = []
-    for case, params in REPRESENTATIVE.items():
-        sys = build_system(case, params)
-        rep = compare_spectrum(sys, k, default_grid(sys, points))
-        checked += 1
-        worst = max(worst, rep.max_error)
-        if rep.max_error >= tol:
-            failures += 1
-            details.append(f"{case.value}: max eigenvalue error {rep.max_error:.3e}")
-    return VerifyOutcome("spectrum", failures == 0, checked, failures,
-                         worst, time.monotonic() - t0, details[:10])
+    def checks():
+        for case, params in REPRESENTATIVE.items():
+            sys = build_system(case, params)
+            worst = compare_spectrum(sys, k, default_grid(sys, points)).max_error
+            yield f"{case.value}: max eigenvalue error {worst:.3e}", not worst >= tol, worst
+    return _suite("spectrum", checks())
 
 
 SUITES = {

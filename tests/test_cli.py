@@ -1,11 +1,18 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import exopoly
 from exopoly.cli import cli
+from exopoly.verify import zero_count_draws
 
 
 @pytest.fixture()
@@ -116,6 +123,21 @@ def test_verify_injected_defect_is_caught(runner):
     assert data[0]["passed"] is False and data[0]["failures"] > 0
 
 
+def test_verify_unknown_defect_is_a_usage_error():
+    # through main(), whose exit-code contract maps usage errors to 1
+    src = str(Path(exopoly.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    res = subprocess.run(
+        [sys.executable, "-m", "exopoly.cli", "verify", "--suite", "xi-equation",
+         "--inject", "bogus"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 1, res.stderr
+    assert res.stdout == ""
+    assert "bogus" in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -150,6 +172,16 @@ def test_zeros_single_and_sweep(runner):
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert len(data["rows"]) == 25 and data["mismatches"] == 0
+
+
+def test_zeros_sweep_draws_the_suite_sampler(runner):
+    # `zeros --sweep` and the zero-count suite read one random stream
+    res = run(runner, "zeros", "--sweep", "25", "--seed", "3")
+    rows = json.loads(res.output)["rows"]
+    got = [(r["kind"], r["degree"], Fraction(r["alpha"]),
+            None if r["beta"] is None else Fraction(r["beta"])) for r in rows]
+    draws = zero_count_draws(3)
+    assert got == [next(draws) for _ in range(25)]
 
 
 def test_zeros_requires_arguments(runner):

@@ -47,7 +47,14 @@ def golden_commands() -> list[list[str]]:
             ["spectrum", *point, "-k", "5"],
             ["plotdata", *point, "--points", "2000"],
         ]
-    return commands + [["verify"]]
+    return commands + [
+        ["verify"],
+        ["verify", "--inject", "p-l2-sign-flip"],
+        ["zeros", "--sweep", "200"],
+        ["zeros", "--kind", "laguerre", "--ell", "3", "--alpha", "1/2"],
+        ["construct", "--case", "l2", "--ell", "1", "--alpha", "-2", "--nmax", "3",
+         "--format", "csv"],
+    ]
 
 
 def platform_facts() -> dict:

@@ -28,29 +28,19 @@ HALF_LINE = Interval(F(0), POS_INF)
 
 
 def test_rule_invariants():
-    for scheme in ("gauss_legendre", "tanh_sinh"):
-        rule = make_rule(UNIT, scheme, 5)
-        assert np.all(rule.weights > 0)
-        assert np.all((rule.nodes > 0) & (rule.nodes < 1))
-        total = float(np.dot(rule.weights, np.ones_like(rule.nodes)))
-        assert abs(total - 1.0) <= 1e-12
+    rule = make_rule(UNIT, "tanh_sinh", 5)
+    assert np.all(rule.weights > 0)
+    assert np.all((rule.nodes > 0) & (rule.nodes < 1))
+    total = float(np.dot(rule.weights, np.ones_like(rule.nodes)))
+    assert abs(total - 1.0) <= 1e-12
 
 
 def test_finite_interval_examples():
-    rule = make_rule(UNIT, "gauss_legendre", 3)
+    rule = make_rule(UNIT, "tanh_sinh", 3)
     assert abs(float(np.dot(rule.weights, rule.nodes)) - 0.5) <= 1e-14
     assert abs(integrate(lambda x: x, UNIT) - 0.5) <= 1e-14
     want = (2.0 / 3.0) * 2.0**1.5
     assert abs(integrate(lambda x: np.sqrt(1 - x), SYM) - want) <= 1e-12 * want
-
-
-def test_gauss_legendre_polynomial_exactness():
-    # 2^level points integrate degree 2*points - 1 exactly
-    rule = make_rule(Interval(F(-1), F(1)), "gauss_legendre", 2)  # 4 points
-    for k in range(0, 8):
-        got = float(np.dot(rule.weights, rule.nodes**k))
-        want = 0.0 if k % 2 else 2.0 / (k + 1)
-        assert abs(got - want) <= 1e-13
 
 
 def test_half_line_decaying_integrand():
@@ -59,7 +49,7 @@ def test_half_line_decaying_integrand():
 
 def test_unsupported_combinations():
     with pytest.raises(ValueError):
-        make_rule(HALF_LINE, "gauss_legendre", 4)
+        make_rule(UNIT, "gauss_legendre", 4)
     with pytest.raises(ValueError):
         make_rule(Interval(float("-inf"), F(0)), "tanh_sinh", 4)
     with pytest.raises(ValueError):

@@ -2,11 +2,21 @@
 
 import pytest
 
-from exopoly.systems import Case, ParameterError, Params, build_system
+from exopoly.systems import (
+    Case,
+    ParameterError,
+    Params,
+    build_system,
+    exceptional_poly,
+    ode_residual,
+    xi_equation_residual,
+)
 from exopoly.verify import (
+    MUTANTS,
     REPRESENTATIVE,
     SUITES,
     VerifyOutcome,
+    _mutated_poly,
     grid_params,
     grid_systems,
     run_suite,
@@ -51,3 +61,27 @@ def test_outcome_shape():
 def test_negative_degree_rejected():
     with pytest.raises(ParameterError):
         Params(-1, 2)
+
+
+def test_unknown_mutant_rejected():
+    with pytest.raises(ValueError, match="unknown mutant"):
+        run_suite("ode-residual", mutant="bogus")
+
+
+def test_ode_residual_takes_a_stand_in_polynomial():
+    for case, params in REPRESENTATIVE.items():
+        sys = build_system(case, params)
+        for n in range(4):
+            assert ode_residual(sys, n, poly=exceptional_poly(sys, n)).is_zero
+            assert _mutated_poly(sys, n, None) is None
+    sys = build_system(Case.L2, REPRESENTATIVE[Case.L2])
+    for mutant in MUTANTS:
+        for n in range(4):
+            assert not ode_residual(sys, n, poly=_mutated_poly(sys, n, mutant)).is_zero
+
+
+def test_xi_equation_residual_detects_a_wrong_constant():
+    for sys in grid_systems(ells=(0, 1, 2)):
+        assert xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
+        # the residual then is xi itself, nonzero
+        assert xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E + 1) == sys.xi
