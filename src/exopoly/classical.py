@@ -38,10 +38,11 @@ __all__ = [
 def binomial(top, k: int) -> Fraction:
     """Generalized binomial C(top, k) = top (top-1) ... (top-k+1) / k!."""
     top = rat(top)
-    num = Fraction(1)
+    p, q = top.numerator, top.denominator
+    num = 1
     for j in range(k):
-        num *= top - j
-    return num / math.factorial(k)
+        num *= p - j * q
+    return Fraction(num, q**k * math.factorial(k))
 
 
 class TheoremHypothesisError(ValueError):
@@ -81,24 +82,22 @@ def laguerre(n: int, alpha) -> Poly:
     return _laguerre_cached(int(n), rat(alpha))
 
 
+_ETA_MINUS_ONE = Poly([-1, 1])
+
+
 @lru_cache(maxsize=4096)
 def _jacobi_cached(n: int, alpha: Fraction, beta: Fraction) -> Poly:
     # two-binomial expansion: sum_s C(n+alpha, n-s) C(n+beta, s)
     #   * ((eta-1)/2)^s ((eta+1)/2)^(n-s).
     # Unlike the three-term recurrence this has no vanishing prefactors for
-    # negative parameter values, which this library depends on.
-    half_minus = Poly([Fraction(-1, 2), Fraction(1, 2)])
-    half_plus = Poly([Fraction(1, 2), Fraction(1, 2)])
-    minus_pows = [ONE]
-    plus_pows = [ONE]
-    for _ in range(n):
-        minus_pows.append(minus_pows[-1] * half_minus)
-        plus_pows.append(plus_pows[-1] * half_plus)
+    # negative parameter values, which this library depends on.  The sum is
+    # taken by Horner's rule in (eta-1) over the integer rows (eta+1)^(n-s).
     total = Poly()
-    for s in range(n + 1):
-        coeff = binomial(n + alpha, n - s) * binomial(n + beta, s)
-        if coeff:
-            total = total + coeff * minus_pows[s] * plus_pows[n - s]
+    for s in range(n, -1, -1):
+        plus_row = Poly([math.comb(n - s, k) for k in range(n - s + 1)])
+        total = total * _ETA_MINUS_ONE \
+            + binomial(n + alpha, n - s) * binomial(n + beta, s) * plus_row
+    total = total * Fraction(1, 2**n)
     _check_jacobi_ode(n, alpha, beta, total)
     return total
 

@@ -238,9 +238,12 @@ def construct(case_str, ell, alpha, beta, n_single, nmax, fmt):
               help="Test harness mode: inject a named defect.")
 def verify(suites, inject):
     """Run the verification suites; exit 2 on any failure."""
+    names = list(suites) or list(SUITES)
+    if inject is not None and "ode-residual" not in names:
+        _fail("--inject needs the ode-residual suite (add --suite ode-residual)", 1)
     outcomes = [
         run_suite(name, mutant=inject) if name == "ode-residual" else run_suite(name)
-        for name in list(suites) or list(SUITES)
+        for name in names
     ]
     # wall-clock timing is intentionally omitted: output must be byte-stable
     _emit_json(
@@ -362,7 +365,9 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
         exact = count_zeros_exact(kind, ell, a, b)
         rows.append((pred, exact))
     else:
-        for k, n, a, b in islice(zero_count_draws(seed), max(sweep, 0)):
+        if sweep < 0:
+            _fail("--sweep must be >= 0", 1)
+        for k, n, a, b in islice(zero_count_draws(seed), sweep):
             rows.append((predict_zero_count(k, n, a, b), count_zeros_exact(k, n, a, b)))
     table = []
     mismatches = 0

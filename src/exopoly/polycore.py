@@ -1,7 +1,9 @@
 """Exact rational polynomial algebra.
 
-Dense univariate polynomials over arbitrary-precision rationals, Sturm-chain
-root counting on (half-)open intervals, and quasi-polynomials of the form
+Dense univariate polynomials over arbitrary-precision rationals, stored as
+integer numerators over one common denominator so that arithmetic runs on
+Python ints; Sturm-chain root counting on (half-)open intervals, with chains
+built from integer pseudo-remainders; and quasi-polynomials of the form
 
     e^(s*eta) * eta^a * (1-eta)^b * (1+eta)^c * B(eta)
 
@@ -12,8 +14,10 @@ immutable; no operation ever rounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -57,44 +61,61 @@ class IncompatiblePrefactorError(ValueError):
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction, ascending powers.
+    """Dense univariate polynomial over the rationals, ascending powers.
 
-    Trailing zero coefficients are trimmed on construction, so ``degree``
-    is well defined (-1 for the zero polynomial) and equality is
-    coefficientwise.
+    Stored as a tuple of integer numerators over one positive common
+    denominator, kept in lowest terms (the gcd of the denominator and all
+    numerators is 1) with trailing zeros trimmed.  So ``degree`` is well
+    defined (-1 for the zero polynomial), equality and hashing are
+    structural, and each operation runs on Python ints with one gcd
+    normalisation per result.  ``coeffs`` returns the Fraction coefficients.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        while num and not num[-1]:
+            num.pop()
+        g = math.gcd(den, *num) if num else den
+        if g != 1:
+            num, den = [c // g for c in num], den // g
+        self._num, self._den = tuple(num), den
+
+    @staticmethod
+    def _of(num: list[int], den: int = 1) -> "Poly":
+        """The polynomial sum(num[k] eta^k) / den, for a positive den."""
+        p = Poly.__new__(Poly)
+        p._set(num, den)
+        return p
 
     # -- basic structure ------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
 
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coeff(self, k: int) -> Fraction:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
+        return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else Fraction(0)
 
     @staticmethod
     def monomial(power: int, coefficient: RationalLike = 1) -> "Poly":
@@ -102,30 +123,34 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == Poly([other])
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self._coeffs]})"
+        return f"Poly({[str(c) for c in self.coeffs]})"
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        n = max(len(self._coeffs), len(other._coeffs))
-        return Poly(
-            [self.coeff(k) + other.coeff(k) for k in range(n)]
-        )
+        a, b, den = self._num, other._num, self._den
+        if den != other._den:
+            g = math.gcd(den, other._den)
+            sa, sb = other._den // g, den // g
+            a, b, den = [c * sa for c in a], [c * sb for c in b], den * sa
+        if len(a) < len(b):
+            a, b = b, a
+        return Poly._of([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self._coeffs])
+        return Poly._of([-c for c in self._num], self._den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -134,18 +159,23 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self._coeffs])
         if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = rat(other)
+            return Poly._of([c * other.numerator for c in self._num],
+                            self._den * other.denominator)
+        a, b = self._num, other._num
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        if len(a) < len(b):
+            a, b = b, a
+        na = len(a)
+        out = [0] * (na + len(b) - 1)
+        for j, c in enumerate(b):  # one C-level row a * c per coefficient of b
+            if c:
+                out[j:j + na] = map(operator.add, out[j:j + na], map(operator.mul, a, repeat(c)))
+        return Poly._of(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -161,23 +191,10 @@ class Poly:
         """Exact euclidean division over the rationals."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        q: list[Fraction] = [Fraction(0)] * max(
-            0, len(self._coeffs) - len(divisor._coeffs) + 1
-        )
-        rem = list(self._coeffs)
-        dlc = divisor.leading()
-        dd = divisor.degree()
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlc
-            q[shift] = factor
-            for j, b in enumerate(divisor._coeffs):
-                rem[shift + j] -= factor * b
-        return Poly(q), Poly(rem)
+        q, r, m = _pseudo_divmod(self._num, divisor._num)
+        # m * A = Q * B + R for self = A / self._den and divisor = B / divisor._den
+        den = m * self._den
+        return Poly._of([c * divisor._den for c in q], den), Poly._of(r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(self._coerce(other))[0]
@@ -188,36 +205,55 @@ class Poly:
     # -- calculus and evaluation -----------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self._coeffs)][1:])
+        return Poly._of([k * c for k, c in enumerate(self._num)][1:], self._den)
+
+    def _homogeneous(self, x: Fraction) -> int:
+        """den * self(x) * q^degree as an integer, for x = p/q: the sign of self(x)."""
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
+        for c in reversed(self._num):
+            acc = acc * p + c * qk
+            qk *= q
+        return acc
 
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact evaluation at a rational point (Horner)."""
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(self._homogeneous(x), self._den * x.denominator ** max(self.degree(), 0))
 
     def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self._coeffs]
+        return [c / self._den for c in self._num]
 
     # -- transforms -------------------------------------------------------
 
     def compose_neg(self) -> "Poly":
         """p(eta) -> p(-eta)."""
-        return Poly([c if k % 2 == 0 else -c for k, c in enumerate(self._coeffs)])
+        return Poly._of([-c if k % 2 else c for k, c in enumerate(self._num)], self._den)
 
     def primitive(self) -> "Poly":
         """Scale by a positive rational to integer coefficients with gcd 1.
 
         Positive scaling only, so sign data (used by Sturm chains) survives.
         """
-        if self.is_zero:
-            return self
-        den = math.lcm(*(c.denominator for c in self._coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self._coeffs]
-        g = math.gcd(*(abs(v) for v in ints))
-        return Poly([Fraction(v, g) for v in ints])
+        g = math.gcd(*self._num)
+        return Poly._of([c // g for c in self._num]) if g else self
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: (q, r, m) with m*a == q*b + r, deg r < deg b
+    and m a positive integer, so r is a positive multiple of a % b."""
+    db, lc = len(b) - 1, b[-1]
+    step, sign = abs(lc), (1 if lc > 0 else -1)
+    r, q, m = list(a), [0] * max(0, len(a) - db), 1
+    for k in reversed(range(len(q))):
+        c = r.pop()  # coefficient of eta^(k+db), cancelled against b * eta^k
+        if not c:
+            continue
+        if step != 1:
+            r, q, m = [step * v for v in r], [step * v for v in q], m * step
+        q[k] = f = sign * c
+        r[k:] = [v - f * w for v, w in zip(r[k:], b)]
+    return q, r, m
 
 
 ETA = Poly([0, 1])
@@ -258,12 +294,17 @@ class Interval:
         return f"{lb}{lo}, {hi}{rb}"
 
 
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Primitive part of a positive multiple of a % b, on integers only."""
+    return Poly._of(_pseudo_divmod(a._num, b._num)[1]).primitive()
+
+
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
     """Euclidean gcd over the rationals, primitive-normalised each step."""
     a, b = a.primitive(), b.primitive()
     while not b.is_zero:
-        a, b = b, (a % b).primitive()
-    return a if a.is_zero else a.primitive()
+        a, b = b, _prem(a, b)
+    return a
 
 
 def _squarefree(p: Poly) -> Poly:
@@ -280,10 +321,10 @@ def _sturm_chain(p: Poly) -> list[Poly]:
         return chain
     chain.append(d.primitive())
     while True:
-        r = chain[-2] % chain[-1]
+        r = _prem(chain[-2], chain[-1])
         if r.is_zero:
             break
-        chain.append((-r).primitive())
+        chain.append(-r)
     return chain
 
 
@@ -306,7 +347,7 @@ def _chain_signs_at(chain: Sequence[Poly], point) -> list[int]:
             _sign(q.leading()) * (1 if q.degree() % 2 == 0 else -1)
             for q in chain
         ]
-    return [_sign(q(point)) for q in chain]
+    return [_sign(q._homogeneous(point)) for q in chain]
 
 
 def sturm_count(p: Poly, iv: Interval) -> int:
@@ -406,10 +447,9 @@ class QuasiPoly:
                 raise IncompatiblePrefactorError(
                     "incompatible prefactor: non-integer exponent gap"
                 )
-            common = min(x, y)
-            exps.append(common)
-            bodies[0] = bodies[0] * _power_poly(base, int(x - common))
-            bodies[1] = bodies[1] * _power_poly(base, int(y - common))
+            exps.append(min(x, y))
+            k = 0 if x > y else 1  # only the body with the larger exponent absorbs the gap
+            bodies[k] = bodies[k] * _power_poly(base, int(abs(gap)))
         return QuasiPoly(self.s, exps[0], exps[1], exps[2], bodies[0] + bodies[1])
 
     def derivative(self) -> "QuasiPoly":

@@ -581,6 +581,6 @@ def wavefunction_eval(sys: XSystem, level: int, x):
 
 
 def weight_exponents(sys: XSystem) -> WeightExponents:
-    """Exponent tuple of the eta-space orthogonality weight over xi^2."""
-    _check_weight_consistency(sys)
+    """Exponent tuple of the eta-space orthogonality weight over xi^2
+    (checked against the prepotential once, by build_system)."""
     return sys.weight

@@ -138,6 +138,14 @@ def test_verify_unknown_defect_is_a_usage_error():
     assert "bogus" in res.stderr
 
 
+def test_verify_inject_needs_the_ode_residual_suite(runner):
+    # a defect injected into a run that never reads it tests nothing
+    res = run(runner, "verify", "--suite", "identities", "--inject", "p-l2-sign-flip")
+    assert res.exit_code == 1
+    assert "ode-residual" in res.output
+    assert '"suite"' not in res.output
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -187,6 +195,12 @@ def test_zeros_sweep_draws_the_suite_sampler(runner):
 def test_zeros_requires_arguments(runner):
     res = run(runner, "zeros")
     assert res.exit_code == 1
+
+
+def test_zeros_negative_sweep_rejected(runner):
+    res = run(runner, "zeros", "--sweep", "-3")
+    assert res.exit_code == 1
+    assert res.output.strip() == "--sweep must be >= 0"
 
 
 def test_plotdata(runner):

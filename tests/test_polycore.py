@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,19 @@ fractions_small = st.fractions(
 
 def polys(max_degree=12):
     return st.lists(fractions_small, min_size=0, max_size=max_degree + 1).map(Poly)
+
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(p):
+    """The same polynomial as a sympy.Poly over QQ."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+                      or [0], X, domain="QQ")
+
+
+def from_sympy(sp):
+    return Poly([F(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +91,56 @@ def test_compose_neg():
     assert p.compose_neg() == Poly([1, -2, 3, -4])
     x = F(5, 7)
     assert p.compose_neg()(x) == p(-x)
+
+
+@given(polys(), polys())
+@settings(max_examples=100, deadline=None)
+def test_ring_operations_match_sympy(p, q):
+    sp, sq = to_sympy(p), to_sympy(q)
+    assert p + q == from_sympy(sp + sq)
+    assert p - q == from_sympy(sp - sq)
+    assert p * q == from_sympy(sp * sq)
+    assert p.derivative() == from_sympy(sp.diff(X))
+    assert p.compose_neg() == from_sympy(sympy.Poly(sp.as_expr().subs(X, -X), X, domain="QQ"))
+
+
+@given(polys(), fractions_small)
+@settings(max_examples=100, deadline=None)
+def test_rational_evaluation_matches_sympy(p, x):
+    want = to_sympy(p).eval(sympy.Rational(x.numerator, x.denominator))
+    got = p(x)
+    assert isinstance(got, F)
+    assert got == F(int(want.p), int(want.q))
+
+
+@given(polys(), polys(max_degree=6))
+@settings(max_examples=100, deadline=None)
+def test_divmod_matches_sympy(p, d):
+    assume(not d.is_zero)
+    sq, sr = to_sympy(p).div(to_sympy(d))
+    assert p.divmod(d) == (from_sympy(sq), from_sympy(sr))
+    assert p // d == from_sympy(sq) and p % d == from_sympy(sr)
+
+
+@given(polys(), st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=100, deadline=None)
+def test_canonical_form_is_structural(p, k):
+    # the same polynomial reached through different scalings is one value
+    for scaled in ((p * k) * F(1, k), (p * F(1, k)) * k, Poly([c * k for c in p.coeffs]) * F(1, k)):
+        assert scaled == p and hash(scaled) == hash(p)
+        assert scaled.coeffs == p.coeffs
+    assert all(type(c) is F for c in p.coeffs)
+
+
+def test_canonical_form_examples():
+    p = Poly(["2/4", "6/8", 0, 0])
+    assert p == Poly([F(1, 2), F(3, 4)]) and hash(p) == hash(Poly([F(1, 2), F(3, 4)]))
+    assert p.coeffs == (F(1, 2), F(3, 4)) and p.degree() == 1
+    assert Poly([F(1, 3), F(2, 3)]) == Poly([1, 2]) * F(1, 3)
+    zero = Poly([0, 0, 0])
+    assert zero == Poly() and hash(zero) == hash(Poly()) and zero.degree() == -1
+    assert (p - p).degree() == -1 and (p * 0).is_zero and p.coeffs and not (p - p).coeffs
+    assert Poly([F(-2, 3), F(-4, 5)]).primitive() == Poly([-5, -6])  # sign kept
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +213,43 @@ def test_count_additive_over_partition(p, t):
     left = sturm_count(p, Interval(lo, t))
     right = sturm_count(p, Interval(t, hi))
     assert whole == left + right
+
+
+def _sympy_count(p, iv):
+    """Distinct real roots in iv from sympy's closed-interval count_roots."""
+    sp = to_sympy(p)
+    lo = None if iv.lo == NEG_INF else sympy.Rational(iv.lo.numerator, iv.lo.denominator)
+    hi = None if iv.hi == POS_INF else sympy.Rational(iv.hi.numerator, iv.hi.denominator)
+    count = sp.count_roots(lo, hi)
+    for bound, closed in ((lo, iv.lo_closed), (hi, iv.hi_closed)):
+        if bound is not None and not closed and sp.eval(bound) == 0:
+            count -= 1
+    return count
+
+
+# small and often zero coefficients: repeated roots and degree gaps of two or
+# more in the remainder sequence, where a signed pseudo-remainder would flip
+# the chain's signs
+sparse_polys = st.lists(st.one_of(st.integers(-2, 2), fractions_small),
+                        max_size=9).map(Poly)
+
+
+@given(sparse_polys,
+       st.fractions(min_value=-4, max_value=4, max_denominator=4),
+       st.fractions(min_value=F(1, 4), max_value=6, max_denominator=4),
+       st.booleans(), st.booleans(), st.sampled_from(["finite", "lower", "upper"]))
+@settings(max_examples=150, deadline=None)
+def test_sturm_count_matches_sympy(p, lo, width, lo_closed, hi_closed, kind):
+    assume(p.degree() >= 1)
+    p = p if p.leading() < 0 else -p  # negative leading coefficient
+    # roots on lo (a finite bound of every kind) and lo + width exercise the flags
+    if lo_closed == hi_closed:
+        p = p * Poly([-lo, 1])
+    if lo_closed:
+        p = p * Poly([-lo - width, 1])
+    bounds = {"lower": (NEG_INF, lo), "upper": (lo, POS_INF), "finite": (lo, lo + width)}
+    iv = Interval(*bounds[kind], lo_closed, hi_closed)
+    assert sturm_count(p, iv) == _sympy_count(p, iv)
 
 
 # ---------------------------------------------------------------------------
