@@ -1,10 +1,11 @@
 """Classical Laguerre and Jacobi polynomials over exact rationals.
 
 Construction is exact for every real rational parameter value, including the
-negative values where the usual three-term recurrences break down.  Each
-constructed polynomial is verified once against its defining second-order
-equation, so a transcription error cannot survive construction.  The module
-also provides the derivative/contiguity identity suite and the classical
+negative values where the usual three-term recurrences break down: each
+polynomial is its explicit sum (DLMF 18.5(iii)), polynomial in the
+parameters, taken in one pass over Python ints.  Each constructed polynomial
+is verified once against its defining second-order equation, so a
+transcription error cannot survive construction.  The module also provides the derivative/contiguity identity suite and the classical
 zero-counting theory (zero counts on the positive axis and on (-1, 1),
 together with the Klein symbol and the nodelessness criterion).
 """
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, sturm_count
+from .polycore import ETA, Interval, POS_INF, Poly, rat, sturm_count
 
 __all__ = [
     "binomial",
@@ -35,14 +36,19 @@ __all__ = [
 ]
 
 
+def _falling(top: int, step: int, k: int) -> list[int]:
+    """Integer partial products [prod_{j<i} (top - j step) for i = 0..k]."""
+    out = [1]
+    for j in range(k):
+        out.append(out[-1] * (top - j * step))
+    return out
+
+
 def binomial(top, k: int) -> Fraction:
     """Generalized binomial C(top, k) = top (top-1) ... (top-k+1) / k!."""
     top = rat(top)
-    p, q = top.numerator, top.denominator
-    num = 1
-    for j in range(k):
-        num *= p - j * q
-    return Fraction(num, q**k * math.factorial(k))
+    q = top.denominator
+    return Fraction(_falling(top.numerator, q, k)[k], q**k * math.factorial(k))
 
 
 class TheoremHypothesisError(ValueError):
@@ -56,16 +62,15 @@ class TheoremHypothesisError(ValueError):
 
 @lru_cache(maxsize=4096)
 def _laguerre_cached(n: int, alpha: Fraction) -> Poly:
-    # recurrence (k+1) L_{k+1} = (2k+1+alpha-eta) L_k - (k+alpha) L_{k-1};
-    # the leading prefactor k+1 never vanishes, so this is degeneracy-free
-    prev, cur = ONE, Poly([alpha + 1, -1])
-    if n == 0:
-        cur = prev
-    for k in range(1, n):
-        nxt = (Poly([2 * k + 1 + alpha, -1]) * cur - (k + alpha) * prev) * Fraction(1, k + 1)
-        prev, cur = cur, nxt
-    _check_laguerre_ode(n, alpha, cur)
-    return cur
+    # sum_k (-1)^k C(n+alpha, n-k) eta^k / k! over the common denominator
+    # q^n n! (alpha = p/q): the k-th numerator is
+    # (-1)^k C(n, k) q^k prod_{i=k+1..n} (i q + p)
+    p, q = alpha.numerator, alpha.denominator
+    tops = _falling(p + n * q, q, n)
+    num = [(-1) ** k * math.comb(n, k) * q**k * tops[n - k] for k in range(n + 1)]
+    L = Poly._of(num, q**n * math.factorial(n))
+    _check_laguerre_ode(n, alpha, L)
+    return L
 
 
 def _check_laguerre_ode(n: int, alpha: Fraction, L: Poly) -> None:
@@ -82,24 +87,23 @@ def laguerre(n: int, alpha) -> Poly:
     return _laguerre_cached(int(n), rat(alpha))
 
 
-_ETA_MINUS_ONE = Poly([-1, 1])
-
-
 @lru_cache(maxsize=4096)
 def _jacobi_cached(n: int, alpha: Fraction, beta: Fraction) -> Poly:
-    # two-binomial expansion: sum_s C(n+alpha, n-s) C(n+beta, s)
-    #   * ((eta-1)/2)^s ((eta+1)/2)^(n-s).
-    # Unlike the three-term recurrence this has no vanishing prefactors for
-    # negative parameter values, which this library depends on.  The sum is
-    # taken by Horner's rule in (eta-1) over the integer rows (eta+1)^(n-s).
-    total = Poly()
-    for s in range(n, -1, -1):
-        plus_row = Poly([math.comb(n - s, k) for k in range(n - s + 1)])
-        total = total * _ETA_MINUS_ONE \
-            + binomial(n + alpha, n - s) * binomial(n + beta, s) * plus_row
-    total = total * Fraction(1, 2**n)
-    _check_jacobi_ode(n, alpha, beta, total)
-    return total
+    # sum_m C(n+alpha, n-m) C(n+alpha+beta+m, m) ((eta-1)/2)^m: no vanishing
+    # prefactors at negative parameters, unlike the three-term recurrence.
+    # With alpha = A/d, beta = B/d it is sum_m t_m (eta-1)^m over
+    # d^n n! 2^n, taken out of the (eta-1) basis by Horner's rule on ints.
+    d = math.lcm(alpha.denominator, beta.denominator)
+    A, B = int(alpha * d), int(beta * d)
+    tops = _falling(A + n * d, d, n)                  # C(n+alpha, n-m) numerators
+    rises = _falling(A + B + (n + 1) * d, -d, n)      # C(n+alpha+beta+m, m) numerators
+    acc: list[int] = []
+    for m in range(n, -1, -1):  # acc <- acc (eta - 1) + t_m
+        acc = [x - y for x, y in zip([0] + acc, acc + [0])]
+        acc[0] += math.comb(n, m) * 2 ** (n - m) * tops[n - m] * rises[m]
+    P = Poly._of(acc, d**n * math.factorial(n) * 2**n)
+    _check_jacobi_ode(n, alpha, beta, P)
+    return P
 
 
 def _check_jacobi_ode(n: int, alpha: Fraction, beta: Fraction, P: Poly) -> None:

@@ -304,8 +304,8 @@ def ortho(case_str, ell, alpha, beta, nmax, tol):
 def spectrum(case_str, ell, alpha, beta, k, points, x_min, x_max, tol):
     """Compare finite-difference eigenvalues with the closed forms."""
     sys = _build(case_str, ell, alpha, beta)
-    base = default_grid(sys, points)
     try:
+        base = default_grid(sys, points)
         grid = GridSpec(
             x_min if x_min is not None else base.x_min,
             x_max if x_max is not None else base.x_max,
@@ -358,6 +358,8 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
         b = _parse_rational(beta, "beta")
         if kind == "jacobi" and b is None:
             _fail("jacobi query needs --beta", 1)
+        if ell < 0:
+            _fail("--ell must be >= 0", 1)
         try:
             pred = predict_zero_count(kind, ell, a, b)
         except TheoremHypothesisError as exc:
@@ -408,7 +410,7 @@ def plotdata(case_str, ell, alpha, beta, nmax, points):
         _fail("--points must be >= 2", 1)
     if nmax < 0:
         _fail("--nmax must be >= 0", 1)
-    base = default_grid(sys, points)
+    base = default_grid(sys)  # the box only: plotdata may take fewer points than a grid
     lo, hi = base.x_min, base.x_max
     xs = lo + np.arange(points) * ((hi - lo) / (points - 1))
     columns = [xs, potential_eval(sys, xs)]

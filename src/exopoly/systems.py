@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -37,6 +38,7 @@ from .polycore import (
     ETA,
     IncompatiblePrefactorError,
     Interval,
+    ONE,
     POS_INF,
     Poly,
     QuasiPoly,
@@ -173,6 +175,17 @@ class XSystem:
 
     def eta_of_x(self, x: np.ndarray) -> np.ndarray:
         return x * x if self.case.is_laguerre else _per_node(math.cos, 2 * x)
+
+    @cached_property
+    def residual_operator(self) -> tuple[Poly, Poly, Poly, Poly]:
+        """(A, B, C, D) with ode_residual = A P'' + B P' + (C + E D) P: the
+        substitution is linear in P and strips a prefactor that does not
+        depend on P, so A..D are read off P = 1, eta, eta^2 once per system."""
+        C = _substituted(self, ONE, Fraction(0))
+        D = _substituted(self, ONE, Fraction(1)) - C
+        B = _substituted(self, ETA, Fraction(0)) - C * ETA
+        A = (_substituted(self, ETA * ETA, Fraction(0)) - (2 * B + C * ETA) * ETA) * _HALF
+        return A, B, C, D
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +502,15 @@ def proportionality(p: Poly, q: Poly) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
-    """Exact residual of the eigen-equation for family member n.
+def _substituted(sys: XSystem, P: Poly, E: Fraction) -> Poly:
+    """The eigen-equation residual of P at energy E, by substitution.
 
-    Builds p = prefactor * P_n, substitutes into
+    Builds p = prefactor * P, substitutes into
 
         eta_dot^2 p'' + (2 W0' eta_dot + eta_ddot - 2 eta_dot^2 xi'/xi) p' + E p,
 
     multiplies through by xi and strips the common algebraic prefactor.
-    The result must be the zero polynomial for a correctly built system.
-    ``poly``, if given, stands in for P_n (to test the residual itself).
     """
-    P = exceptional_poly(sys, n) if poly is None else poly
-    E = family_energy(sys, n)
     p = QuasiPoly(*sys.p_prefactor, P)
     p1 = p.derivative()
     p2 = p1.derivative()
@@ -515,6 +524,17 @@ def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
         return quasi_extract(total, total.prefactor)
     except IncompatiblePrefactorError as exc:
         raise ConstructionError("residual not quasi-polynomial") from exc
+
+
+def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
+    """Exact residual of the eigen-equation for family member n: the
+    system's ``residual_operator`` applied to P_n at its energy, the zero
+    polynomial for a correctly built system.  ``poly``, if given, stands in
+    for P_n (to test the residual itself)."""
+    P = exceptional_poly(sys, n) if poly is None else poly
+    A, B, C, D = sys.residual_operator
+    P1 = P.derivative()
+    return A * P1.derivative() + B * P1 + (C + family_energy(sys, n) * D) * P
 
 
 # ---------------------------------------------------------------------------

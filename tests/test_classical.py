@@ -1,6 +1,5 @@
 """Classical polynomial layer: construction oracles, identities, zero counts."""
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -27,12 +26,40 @@ from exopoly.polycore import ETA, ONE, Poly
 # ---------------------------------------------------------------------------
 
 
-def laguerre_series(n, alpha):
-    """Series definition: sum_k (-1)^k C(n+alpha, n-k) eta^k / k!."""
+def _binom(top, k):
+    """C(top, k) in Fractions, independent of the library's binomial."""
+    out = F(1)
+    for j in range(k):
+        out = out * (F(top) - j) / (j + 1)
+    return out
+
+
+def laguerre_recurrence(n, alpha):
+    """Recurrence (k+1) L_{k+1} = (2k+1+alpha-eta) L_k - (k+alpha) L_{k-1};
+    its leading prefactor k+1 never vanishes, so it holds at every alpha."""
+    a = F(alpha)
+    prev, cur = ONE, Poly([a + 1, -1])
+    if n == 0:
+        return prev
+    for k in range(1, n):
+        nxt = (Poly([2 * k + 1 + a, -1]) * cur - (k + a) * prev) * F(1, k + 1)
+        prev, cur = cur, nxt
+    return cur
+
+
+def jacobi_two_binomial(n, alpha, beta):
+    """Two-binomial sum sum_s C(n+alpha, n-s) C(n+beta, s)
+    ((eta-1)/2)^s ((eta+1)/2)^(n-s); polynomial in alpha and beta."""
+    a, b = F(alpha), F(beta)
+    minus, plus = Poly([F(-1, 2), F(1, 2)]), Poly([F(1, 2), F(1, 2)])
     total = Poly()
-    for k in range(n + 1):
-        c = (-1) ** k * binomial(F(alpha) + n, n - k) / math.factorial(k)
-        total = total + Poly.monomial(k, c)
+    for s in range(n + 1):
+        term = ONE * (_binom(n + a, n - s) * _binom(n + b, s))
+        for _ in range(s):
+            term = term * minus
+        for _ in range(n - s):
+            term = term * plus
+        total = total + term
     return total
 
 
@@ -60,12 +87,35 @@ def _random_rational(rng, lo=-8, hi=8, max_den=6):
     return F(num, den)
 
 
-def test_laguerre_matches_series_oracle():
+def _degenerate_or_random(rng, n):
+    """A parameter pair: random rationals, negative integers, or a sum
+    alpha + beta in -2n..-n-1 where the Jacobi degree drops."""
+    a, b = _random_rational(rng), _random_rational(rng)
+    pick = rng.randrange(3)
+    if pick == 1:
+        a, b = F(rng.randint(-n - 2, -1)), F(rng.randint(-n - 2, 2))
+    elif pick == 2:
+        b = -a - rng.randint(n, 2 * n)
+    return a, b
+
+
+def test_laguerre_matches_recurrence_oracle():
     rng = random.Random(20315)
-    for _ in range(25):
-        n = rng.randint(0, 8)
-        alpha = _random_rational(rng)
-        assert laguerre(n, alpha) == laguerre_series(n, alpha)
+    for _ in range(60):
+        n = rng.randint(0, 20)
+        alpha, _ = _degenerate_or_random(rng, n)
+        assert laguerre(n, alpha) == laguerre_recurrence(n, alpha), (n, alpha)
+
+
+def test_jacobi_matches_two_binomial_oracle():
+    rng = random.Random(4141)
+    degenerate = 0
+    for _ in range(60):
+        n = rng.randint(0, 20)
+        a, b = _degenerate_or_random(rng, n)
+        degenerate += jacobi_is_degree_degenerate(n, a, b)
+        assert jacobi(n, a, b) == jacobi_two_binomial(n, a, b), (n, a, b)
+    assert degenerate >= 10
 
 
 def test_laguerre_small_cases():

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -123,16 +124,20 @@ def test_verify_injected_defect_is_caught(runner):
     assert data[0]["passed"] is False and data[0]["failures"] > 0
 
 
-def test_verify_unknown_defect_is_a_usage_error():
-    # through main(), whose exit-code contract maps usage errors to 1
+def _main(*args):
+    """Run the CLI through main() in a fresh interpreter."""
     src = str(Path(exopoly.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    res = subprocess.run(
-        [sys.executable, "-m", "exopoly.cli", "verify", "--suite", "xi-equation",
-         "--inject", "bogus"],
+    return subprocess.run(
+        [sys.executable, "-m", "exopoly.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_verify_unknown_defect_is_a_usage_error():
+    # through main(), whose exit-code contract maps usage errors to 1
+    res = _main("verify", "--suite", "xi-equation", "--inject", "bogus")
     assert res.returncode == 1, res.stderr
     assert res.stdout == ""
     assert "bogus" in res.stderr
@@ -201,6 +206,35 @@ def test_zeros_negative_sweep_rejected(runner):
     res = run(runner, "zeros", "--sweep", "-3")
     assert res.exit_code == 1
     assert res.output.strip() == "--sweep must be >= 0"
+
+
+@pytest.mark.parametrize("query", [
+    ("--kind", "laguerre", "--ell", "-2", "--alpha", "1/2"),
+    ("--kind", "jacobi", "--ell", "-1", "--alpha", "1/2", "--beta", "1/2"),
+])
+def test_zeros_negative_ell_rejected(query):
+    res = _main("zeros", *query)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "--ell must be >= 0" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_spectrum_too_few_points_rejected():
+    res = _main("spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2", "--points", "50")
+    assert res.returncode == 1 and res.stdout == ""
+    assert "at least 100 grid points" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_plotdata_takes_fewer_points_than_a_spectral_grid():
+    # --points >= 2 is documented; the box is the spectral default box
+    res = _main("plotdata", "--case", "j1", "--ell", "1", "--alpha", "1/2", "--beta", "-5/2",
+                "--points", "7", "--nmax", "1")
+    assert res.returncode == 0 and "Traceback" not in res.stderr
+    rows = [line.split(",") for line in res.stdout.strip().splitlines()[1:]]
+    assert len(rows) == 7
+    assert float(rows[0][0]) == 1e-3 and float(rows[-1][0]) == math.pi / 2 - 1e-3
+    res = _main("plotdata", "--case", "j1", "--ell", "1", "--alpha", "1/2", "--beta", "-5/2",
+                "--points", "1")
+    assert res.returncode == 1 and "--points must be >= 2" in res.stderr
 
 
 def test_plotdata(runner):

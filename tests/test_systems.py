@@ -1,6 +1,7 @@
 """System construction: deforming functions, eigenpolynomials, potentials."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +16,7 @@ from exopoly.systems import (
     Params,
     _extj_bilinear,
     _horner,
+    _substituted,
     _j2_direct,
     build_system,
     energy,
@@ -301,6 +303,27 @@ def test_residual_zero_across_grid():
     for sys in all_systems():
         for n in range(6):
             assert ode_residual(sys, n).is_zero, (sys.case, sys.params, n)
+
+
+def test_residual_operator_equals_the_substitution():
+    # A P'' + B P' + (C + E D) P, read off once per system, must be the
+    # QuasiPoly substitution itself for any stand-in P and any energy
+    from exopoly.verify import grid_systems
+
+    rng = random.Random(2718)
+    for sys in grid_systems(ells=(0, 1, 2, 3)):
+        assert "residual_operator" not in sys.__dict__  # built on first use only
+        for _ in range(4):
+            n = rng.randint(0, 8)
+            P = Poly([F(rng.randint(-30, 30), rng.randint(1, 7))
+                      for _ in range(rng.randint(1, 14))])
+            want = _substituted(sys, P, family_energy(sys, n))
+            assert ode_residual(sys, n, P) == want, (sys.case, sys.params, n)
+            A, B, C, D = sys.residual_operator
+            E = F(rng.randint(-99, 99), rng.randint(1, 5))
+            P1 = P.derivative()
+            assert A * P1.derivative() + B * P1 + (C + E * D) * P == _substituted(sys, P, E)
+        assert sys.residual_operator is sys.residual_operator
 
 
 # ---------------------------------------------------------------------------
