@@ -272,6 +272,8 @@ def verify(suites, inject):
 @click.option("--tol", type=float, default=1e-10, help="Off-diagonal pass threshold.")
 def ortho(case_str, ell, alpha, beta, nmax, tol):
     """Normalized Gram matrix under the deformed weight; exit 2 above --tol."""
+    if not 0 < tol < float("inf"):  # a NaN tolerance would pass every check
+        _fail("--tol must be finite and > 0", 1)
     sys = _build(case_str, ell, alpha, beta)
     if nmax < 2:
         _fail("--nmax must be >= 2", 1)
@@ -303,6 +305,8 @@ def ortho(case_str, ell, alpha, beta, nmax, tol):
 @click.option("--tol", type=float, default=1e-3, help="Per-level error threshold.")
 def spectrum(case_str, ell, alpha, beta, k, points, x_min, x_max, tol):
     """Compare finite-difference eigenvalues with the closed forms."""
+    if not 0 < tol < float("inf"):
+        _fail("--tol must be finite and > 0", 1)
     sys = _build(case_str, ell, alpha, beta)
     try:
         base = default_grid(sys, points)

@@ -114,13 +114,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self._num[-1], self._den)
 
-    def coeff(self, k: int) -> Fraction:
-        return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else Fraction(0)
-
-    @staticmethod
-    def monomial(power: int, coefficient: RationalLike = 1) -> "Poly":
-        return Poly([0] * power + [coefficient])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self._num == other._num and self._den == other._den
@@ -278,13 +271,6 @@ class Interval:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"empty interval: lo={self.lo!r} >= hi={self.hi!r}")
-
-    def contains(self, x) -> bool:
-        if x < self.lo or (x == self.lo and not self.lo_closed):
-            return False
-        if x > self.hi or (x == self.hi and not self.hi_closed):
-            return False
-        return True
 
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("

@@ -5,7 +5,9 @@ integrals, so orthogonality is checked numerically, by tanh-sinh
 (double-exponential) quadrature, which absorbs the algebraic endpoint
 singularities of the weights without case analysis.  Semi-infinite domains
 are brought to (0, 1) by eta = t / (1 - t), which presumes integrands with
-at least exponential decay (true of every weight here).
+at least exponential decay (true of every weight here).  One shared rule
+serves each Gram matrix: every entry must still pass the adaptive criterion
+under the same node cap, and a failure names the pair of levels.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 _MAX_NODES = 2 ** 14
+_BLOCK = 2048  # nodes per evaluation block: bounds the Phi array
 _ETA_CAP = 1e6  # drop mapped nodes beyond this on semi-infinite domains
 
 
@@ -138,62 +141,64 @@ def make_rule(domain: Interval, scheme: str, level: int) -> QuadRule:
     raise ValueError("unsupported domain/scheme combination")
 
 
+def _refine(domain: Interval, block_sums, rtol: float, max_nodes: int, where):
+    """The one adaptive tanh-sinh loop, for a scalar or an array of integrals.
+
+    ``block_sums(nodes, weights)`` gives the weighted sums of the integrands
+    and of their absolute values over at most _BLOCK nodes.  Each level adds
+    its new nodes until every entry changes by at most rtol * max(|I|, the
+    integral of |f|), so tiny integrals (orthogonality defects) converge too.
+    At the node cap the error names the first unconverged entry via ``where``.
+    """
+    prev, n_nodes, level = None, 0, 1
+    total = total_abs = 0.0
+    while True:
+        nodes, weights = _ts_points(domain, level, only_new=(level > 1))
+        step = [block_sums(nodes[k:k + _BLOCK], weights[k:k + _BLOCK])
+                for k in range(0, len(nodes), _BLOCK)]
+        total = 0.5 * total + sum(b[0] for b in step)
+        total_abs = 0.5 * total_abs + sum(b[1] for b in step)
+        n_nodes += len(nodes)
+        if prev is not None:
+            change = np.abs(total - prev)
+            scale = np.maximum(np.abs(total), total_abs)
+            done = (change <= rtol * scale) | ((scale == 0.0) & (change == 0.0))
+            if done.all():
+                return total
+            if n_nodes >= max_nodes:
+                idx = np.unravel_index(np.argmin(done), done.shape)
+                raise QuadratureConvergenceError(
+                    f"{where(idx)}integration non-convergence at requested tolerance",
+                    achieved=float(total[idx]), last_change=float(change[idx]), nodes=n_nodes,
+                )
+        prev = total
+        level += 1
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     domain: Interval,
     rtol: float = 1e-12,
     max_nodes: int = _MAX_NODES,
 ) -> float:
-    """Adaptive tanh-sinh integration of a vectorized integrand.
-
-    Refines the step until the relative change drops below rtol, where
-    'relative' is measured against the integral of |f| so that genuinely
-    tiny integrals (orthogonality defects) converge too.  Raises
-    QuadratureConvergenceError with the best estimate if the node cap is hit.
-    """
-    total = 0.0
-    total_abs = 0.0
-    n_nodes = 0
-    prev = None
-    level = 1
-    while True:
-        nodes, weights = _ts_points(domain, level, only_new=(level > 1))
+    """Adaptive tanh-sinh integration of a vectorized integrand; raises
+    QuadratureConvergenceError with the best estimate at the node cap."""
+    def block_sums(nodes, weights):
         vals = np.asarray(f(nodes), dtype=float)
-        if level == 1:
-            total = float(np.dot(weights, vals))
-            total_abs = float(np.dot(weights, np.abs(vals)))
-        else:
-            total = 0.5 * total + float(np.dot(weights, vals))
-            total_abs = 0.5 * total_abs + float(np.dot(weights, np.abs(vals)))
-        n_nodes += len(nodes)
-        if prev is not None:
-            change = abs(total - prev)
-            scale = max(abs(total), total_abs)
-            if change <= rtol * scale or (scale == 0.0 and change == 0.0):
-                return total
-            if n_nodes >= max_nodes:
-                raise QuadratureConvergenceError(
-                    "integration non-convergence at requested tolerance",
-                    achieved=total, last_change=change, nodes=n_nodes,
-                )
-        prev = total
-        level += 1
+        return np.dot(weights, vals), np.dot(weights, np.abs(vals))
+
+    return float(_refine(domain, block_sums, rtol, max_nodes, lambda idx: ""))
 
 
-def _log_abs_poly(coeffs: list[float], eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals = _horner(coeffs, eta)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(vals)), np.sign(vals)
-
-
-def _weighted_product_integrand(sys: XSystem, pn: Poly, pm: Poly):
-    """Log-space integrand weight(eta) * pn * pm / xi^2; weight positive."""
+def _phi(sys: XSystem, polys: list[Poly]):
+    """Phi[n](eta) = sqrt(w) p_n / xi, one row per polynomial, for an array of
+    nodes; sign times exp of a log-space magnitude, so the weight factor
+    neither overflows nor underflows ahead of the polynomials."""
     w = sys.weight
     s, a, b, c = float(w.s), float(w.a), float(w.b), float(w.c)
-    cn, cm, cxi = pn.float_coeffs(), pm.float_coeffs(), sys.xi.float_coeffs()
+    coeffs, cxi = [p.float_coeffs() for p in polys], sys.xi.float_coeffs()
 
-    def f(eta: np.ndarray) -> np.ndarray:
-        eta = np.asarray(eta, dtype=float)
+    def phi(eta: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_w = s * eta
             if a:
@@ -202,19 +207,18 @@ def _weighted_product_integrand(sys: XSystem, pn: Poly, pm: Poly):
                 log_w = log_w + b * np.log1p(-eta)
             if c:
                 log_w = log_w + c * np.log1p(eta)
-            ln_n, sg_n = _log_abs_poly(cn, eta)
-            ln_m, sg_m = _log_abs_poly(cm, eta)
-            ln_xi, _ = _log_abs_poly(cxi, eta)
-            out = sg_n * sg_m * np.exp(log_w + ln_n + ln_m - 2.0 * ln_xi)
+            vals = np.array([_horner(cs, eta) for cs in coeffs])
+            log_half = 0.5 * log_w - np.log(np.abs(_horner(cxi, eta)))
+            out = np.sign(vals) * np.exp(log_half + np.log(np.abs(vals)))
         return np.nan_to_num(out, nan=0.0, posinf=np.inf, neginf=-np.inf)
 
-    return f
+    return phi
 
 
 def inner_product(sys: XSystem, n: int, m: int, rtol: float = 1e-12) -> float:
     """<p_n, p_m> under the system's orthogonality weight (level-indexed)."""
-    f = _weighted_product_integrand(sys, level_poly(sys, n), level_poly(sys, m))
-    return integrate(f, sys.domain_eta, rtol=rtol)
+    phi = _phi(sys, [level_poly(sys, n), level_poly(sys, m)])
+    return integrate(lambda eta: np.prod(phi(eta), axis=0), sys.domain_eta, rtol=rtol)
 
 
 @dataclass(frozen=True)
@@ -225,37 +229,32 @@ class GramReport:
 
 
 def gram(sys: XSystem, N: int, rtol: float = 1e-12) -> GramReport:
-    """Normalized Gram matrix of the lowest N levels.
+    """Normalized Gram matrix of the lowest N levels, on one shared rule.
 
     Entries g_nm = <p_n, p_m> / sqrt(<p_n, p_n> <p_m, p_m>); for the
-    extended Jacobi case level 0 is the constant ground function.
+    extended Jacobi case level 0 is the constant ground function.  Each level
+    evaluates Phi once per new node and adds (Phi w) Phi^T to every entry.
     """
     if N < 2:
         raise ValueError("need at least two levels")
-    polys = [level_poly(sys, n) for n in range(N)]
-    raw = [[0.0] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(i, N):
-            f = _weighted_product_integrand(sys, polys[i], polys[j])
-            try:
-                raw[i][j] = raw[j][i] = integrate(f, sys.domain_eta, rtol=rtol)
-            except QuadratureConvergenceError as exc:
-                p = sys.params
-                exc.args = (f"case {sys.case.value} (ell={p.ell}, alpha={p.alpha}, "
-                            f"beta={p.beta}), pair ({i}, {j}): {exc}",)
-                raise
-    for i in range(N):
-        if raw[i][i] <= 0:
-            raise RuntimeError(f"non-positive norm at level {i}")
-    norms = [math.sqrt(raw[i][i]) for i in range(N)]
-    g = tuple(
-        tuple(
-            1.0 if i == j else raw[i][j] / (norms[i] * norms[j])
-            for j in range(N)
-        )
-        for i in range(N)
-    )
-    max_off = max(
-        abs(g[i][j]) for i in range(N) for j in range(N) if i != j
-    ) if N > 1 else 0.0
-    return GramReport(size=N, matrix=g, max_offdiag=max_off)
+    phi = _phi(sys, [level_poly(sys, n) for n in range(N)])
+    p = sys.params
+    head = f"case {sys.case.value} (ell={p.ell}, alpha={p.alpha}, beta={p.beta})"
+
+    def block_sums(nodes, weights):
+        # einsum, not a BLAS product: BLAS buffers add ~0.5 MB to a process's peak RSS
+        v = phi(nodes)
+        vw = v * weights
+        return np.einsum("ik,jk->ij", vw, v), np.einsum("ik,jk->ij", np.abs(vw), np.abs(v))
+
+    raw = _refine(sys.domain_eta, block_sums, rtol, _MAX_NODES,
+                  lambda idx: f"{head}, pair ({idx[0]}, {idx[1]}): ")
+    raw = np.triu(raw) + np.triu(raw, 1).T
+    positive = np.diag(raw) > 0
+    if not positive.all():
+        raise RuntimeError(f"non-positive norm at level {np.argmin(positive)}")
+    norms = np.sqrt(np.diag(raw))
+    g = raw / np.outer(norms, norms)
+    np.fill_diagonal(g, 1.0)
+    max_off = float(np.max(np.abs(g - np.eye(N))))
+    return GramReport(size=N, matrix=tuple(map(tuple, g.tolist())), max_offdiag=max_off)

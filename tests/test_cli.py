@@ -224,6 +224,15 @@ def test_spectrum_too_few_points_rejected():
     assert "at least 100 grid points" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["ortho", "spectrum"])
+def test_non_finite_or_non_positive_tol_rejected(command, tol):
+    # spectrum fails at this point, so a NaN --tol used to turn its gate off
+    res = _main(command, "--case", "l1", "--ell", "0", "--alpha", "-1", "--tol", tol)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "--tol must be finite and > 0" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_plotdata_takes_fewer_points_than_a_spectral_grid():
     # --points >= 2 is documented; the box is the spectral default box
     res = _main("plotdata", "--case", "j1", "--ell", "1", "--alpha", "1/2", "--beta", "-5/2",

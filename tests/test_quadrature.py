@@ -136,18 +136,79 @@ def test_weight_positive_at_all_nodes():
     # the nodeless deforming function keeps the weight from ever flipping
     # sign; beyond eta ~ 745 the e^-eta factor underflows binary64 to an
     # exact 0.0, which is the closest representable value to the true
-    # (positive) weight
+    # (positive) weight.  For the constant, Phi_0^2 = w / xi^2.
     from exopoly.polycore import ONE
-    from exopoly.quadrature import _weighted_product_integrand, make_rule
+    from exopoly.quadrature import _phi
 
     for case, params in REPRESENTATIVES:
         sys = build_system(case, params)
         rule = make_rule(sys.domain_eta, "tanh_sinh", 8)
-        weight = _weighted_product_integrand(sys, ONE, ONE)(rule.nodes)
+        weight = _phi(sys, [ONE])(rule.nodes)[0] ** 2
         assert np.all(np.isfinite(weight)), case
         assert np.all(weight >= 0), case
         representable = rule.nodes < 700.0
         assert np.all(weight[representable] > 0), case
+
+
+def _product_integrand(sys, pn, pm):
+    """weight * pn * pm / xi^2 in log space, straight from the exponents."""
+    s, a, b, c = (float(e) for e in (sys.weight.s, sys.weight.a, sys.weight.b, sys.weight.c))
+
+    def log_abs(poly, eta):
+        vals = sum(float(k) * eta**i for i, k in enumerate(poly.coeffs))
+        return np.log(np.abs(vals)), np.sign(vals)
+
+    def f(eta):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_w = s * eta
+            if a:
+                log_w = log_w + a * np.log(eta)
+            if b:
+                log_w = log_w + b * np.log1p(-eta)
+            if c:
+                log_w = log_w + c * np.log1p(eta)
+            ln_n, sg_n = log_abs(pn, eta)
+            ln_m, sg_m = log_abs(pm, eta)
+            ln_xi, _ = log_abs(sys.xi, eta)
+            out = sg_n * sg_m * np.exp(log_w + ln_n + ln_m - 2.0 * ln_xi)
+        return np.nan_to_num(out, nan=0.0)
+
+    return f
+
+
+@pytest.mark.parametrize("case, params, N", [
+    *((case, params, 6) for case, params in REPRESENTATIVES),
+    (Case.EXTJ, Params(3, F(-2, 3), F(-9, 2)), 12),
+])
+def test_gram_matches_per_pair_integrals(case, params, N):
+    # the shared rule against one adaptive integration per pair
+    from exopoly.systems import level_poly
+
+    sys = build_system(case, params)
+    polys = [level_poly(sys, n) for n in range(N)]
+    raw = {(i, j): integrate(_product_integrand(sys, polys[i], polys[j]), sys.domain_eta)
+           for i in range(N) for j in range(i, N)}
+    rep = gram(sys, N)
+    for (i, j), val in raw.items():
+        want = val / math.sqrt(raw[i, i] * raw[j, j])
+        assert abs(rep.matrix[i][j] - want) <= 1e-11, (i, j)
+        assert rep.matrix[j][i] == rep.matrix[i][j]
+
+
+def test_gram_memory_stays_bounded():
+    # Phi is evaluated in fixed-size node blocks, so even the run to the
+    # node cap (26,141 nodes at this limit-circle point) stays small
+    import tracemalloc
+
+    sys = build_system(Case.J1, Params(0, F(2), F(-1, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureConvergenceError):
+            gram(sys, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 def test_defect_shrinks_with_refinement_then_plateaus():
