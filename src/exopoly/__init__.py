@@ -49,6 +49,7 @@ from .spectral import (
     default_grid,
     discretize,
     eigen_lowest,
+    richardson_lowest,
     tridiag_from_potential,
 )
 from .systems import (
@@ -96,7 +97,7 @@ __all__ = [
     "GramReport", "QuadratureConvergenceError",
     # spectral
     "GridSpec", "Tridiag", "tridiag_from_potential", "discretize",
-    "eigen_lowest", "compare_spectrum", "default_grid", "SpectrumReport",
+    "eigen_lowest", "richardson_lowest", "compare_spectrum", "default_grid", "SpectrumReport",
     # verification suites
     "SUITES", "run_suite", "VerifyOutcome",
 ]

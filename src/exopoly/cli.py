@@ -22,7 +22,7 @@ import numpy as np
 from .classical import TheoremHypothesisError, count_zeros_exact, predict_zero_count
 from .polycore import rat
 from .quadrature import QuadratureConvergenceError, gram
-from .spectral import GridSpec, compare_spectrum, default_grid
+from .spectral import DEFAULT_POINTS, MIN_POINTS, GridSpec, compare_spectrum, default_grid
 from .systems import (
     Case,
     NodelessnessError,
@@ -209,24 +209,14 @@ def construct(case_str, ell, alpha, beta, n_single, nmax, fmt):
         _emit_json(report)
         return
     lines = ["case,ell,alpha,beta,level,family_index,degree,energy,k,coefficient"]
-    for entry in levels:
-        for k, c in enumerate(entry["coefficients"]):
-            lines.append(
-                ",".join(
-                    [
-                        sys.case.value,
-                        str(sys.params.ell),
-                        _fmt_float(float(sys.params.alpha)),
-                        "" if sys.params.beta is None else _fmt_float(float(sys.params.beta)),
-                        str(entry["level"]),
-                        "" if entry["family_index"] is None else str(entry["family_index"]),
-                        str(entry["degree"]),
-                        _fmt_float(float(entry["energy"])),
-                        str(k),
-                        _fmt_float(float(c)),
-                    ]
-                )
-            )
+    p = sys.params
+    head = [sys.case.value, str(p.ell), _fmt_float(float(p.alpha)),
+            "" if p.beta is None else _fmt_float(float(p.beta))]
+    for e in levels:
+        fam = "" if e["family_index"] is None else str(e["family_index"])
+        row = head + [str(e["level"]), fam, str(e["degree"]), _fmt_float(float(e["energy"]))]
+        lines += [",".join(row + [str(k), _fmt_float(float(c))])
+                  for k, c in enumerate(e["coefficients"])]
     click.echo("\n".join(lines))
 
 
@@ -246,19 +236,7 @@ def verify(suites, inject):
         for name in names
     ]
     # wall-clock timing is intentionally omitted: output must be byte-stable
-    _emit_json(
-        [
-            {
-                "suite": o.suite,
-                "passed": o.passed,
-                "checked": o.checked,
-                "failures": o.failures,
-                "worst_defect": o.worst_defect,
-                "details": o.details,
-            }
-            for o in outcomes
-        ]
-    )
+    _emit_json([{k: v for k, v in vars(o).items() if k != "elapsed_s"} for o in outcomes])
     if any(not o.passed for o in outcomes):
         _sys.exit(2)
 
@@ -299,7 +277,9 @@ def ortho(case_str, ell, alpha, beta, nmax, tol):
 @click.option("--alpha", required=True)
 @click.option("--beta", default=None)
 @click.option("-k", "--levels", "k", type=int, default=5, help="Lowest k levels (<= 10).")
-@click.option("--points", type=int, default=4000, help="Interior grid points.")
+@click.option("--points", type=int, default=DEFAULT_POINTS,
+              help=f"Interior points of the fine grid (>= {MIN_POINTS}); the eigenvalues are "
+                   "extrapolated from it and a coarse grid with half as many cells.")
 @click.option("--x-min", type=float, default=None)
 @click.option("--x-max", type=float, default=None)
 @click.option("--tol", type=float, default=1e-3, help="Per-level error threshold.")
@@ -325,6 +305,7 @@ def spectrum(case_str, ell, alpha, beta, k, points, x_min, x_max, tol):
                 "x_min": rep.grid.x_min,
                 "x_max": rep.grid.x_max,
                 "points": rep.grid.points,
+                "coarse_points": rep.coarse.points,
                 "boundary": rep.grid.boundary,
             },
             "levels": [

@@ -401,11 +401,6 @@ class QuasiPoly:
     c: Fraction
     body: Poly
 
-    @staticmethod
-    def make(body: Poly, s: RationalLike = 0, a: RationalLike = 0,
-             b: RationalLike = 0, c: RationalLike = 0) -> "QuasiPoly":
-        return QuasiPoly(rat(s), rat(a), rat(b), rat(c), body)
-
     @property
     def prefactor(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.s, self.a, self.b, self.c)

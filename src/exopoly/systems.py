@@ -429,26 +429,6 @@ def exceptional_poly(sys: XSystem, n: int) -> Poly:
     )
 
 
-def _extj_bilinear(sys: XSystem, n: int) -> Poly:
-    """Pre-reduction xi/xi' bilinear form of the extj polynomial; equals
-    exceptional_poly exactly (cross-check target)."""
-    a, b = sys.params.alpha, sys.params.beta
-    V = jacobi(n, -a, -b)
-    one_minus_sq = Poly([1, 0, -1])
-    return one_minus_sq * V * sys.xi.derivative() + (
-        Poly([b - a, -(a + b)]) * V - one_minus_sq * V.derivative()
-    ) * sys.xi
-
-
-def _j2_direct(sys: XSystem, n: int) -> Poly:
-    """j2 polynomial from the direct derivation with its own parameter group;
-    equals (-1)^(ell+n+1) times the parity image (cross-check target)."""
-    a, b = sys.params.alpha, sys.params.beta
-    U = jacobi(n, -a, b)
-    return Poly([1, -1]) * U * sys.xi.derivative() \
-        + (n - a) * jacobi(n, -a - 1, b + 1) * sys.xi
-
-
 def shifted_form_poly(sys: XSystem, n: int) -> Poly:
     """Bilinear form in the parameter-shifted deforming function.
 

@@ -26,7 +26,7 @@ from .classical import (
 )
 from .polycore import ETA, Interval, Poly, sturm_count
 from .quadrature import gram
-from .spectral import compare_spectrum, default_grid
+from .spectral import DEFAULT_POINTS, MIN_POINTS, compare_spectrum, default_grid
 from .systems import (
     Case,
     Params,
@@ -274,6 +274,8 @@ def run_zero_count_suite(points: int = 200, seed: int = 7) -> VerifyOutcome:
     """Classical zero-count predictions vs exact Sturm counts on random
     admissible parameters; the ambiguous middle branch is oracle-only and
     therefore excluded here."""
+    if points < 0:
+        raise ValueError("points must be >= 0")
     def checks():
         for kind, n, a, b in zero_count_draws(seed):
             pred = predict_zero_count(kind, n, a, b)
@@ -282,7 +284,7 @@ def run_zero_count_suite(points: int = 200, seed: int = 7) -> VerifyOutcome:
                 ok = pred.count == exact
                 yield (f"{kind} n={n} alpha={a}: predicted {pred.count}, exact {exact}",
                        ok, float(not ok))
-    return _suite("zero-count", islice(checks(), max(points, 0)))
+    return _suite("zero-count", islice(checks(), points))
 
 
 def run_ortho_suite(levels: int = 8, tol: float = 1e-10) -> VerifyOutcome:
@@ -295,8 +297,10 @@ def run_ortho_suite(levels: int = 8, tol: float = 1e-10) -> VerifyOutcome:
     return _suite("orthogonality", checks())
 
 
-def run_spectrum_suite(k: int = 5, tol: float = 1e-3, points: int = 4000) -> VerifyOutcome:
+def run_spectrum_suite(k: int = 5, tol: float = 1e-3, points: int = DEFAULT_POINTS) -> VerifyOutcome:
     """Finite-difference spectra against the closed forms for every case."""
+    if points < MIN_POINTS:
+        raise ValueError(f"the spectrum suite needs a grid of at least {MIN_POINTS} points")
     def checks():
         for case, params in REPRESENTATIVE.items():
             sys = build_system(case, params)

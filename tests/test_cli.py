@@ -173,6 +173,7 @@ def test_spectrum_command(runner):
     data = json.loads(res.output)
     assert [lv["analytic"] for lv in data["levels"]] == ["4", "8", "12"]
     assert data["max_error"] < 1e-3
+    assert (data["grid"]["points"], data["grid"]["coarse_points"]) == (1200, 599)
 
 
 def test_zeros_single_and_sweep(runner):
@@ -222,6 +223,14 @@ def test_spectrum_too_few_points_rejected():
     res = _main("spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2", "--points", "50")
     assert res.returncode == 1 and res.stdout == ""
     assert "at least 100 grid points" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_spectrum_grid_without_a_coarse_partner_rejected():
+    # 150 points pass GridSpec, but the coarse grid would have only 74
+    res = _main("spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2", "--points", "150")
+    assert res.returncode == 1 and res.stdout == ""
+    assert "case l2 (ell=1, alpha=-2, beta=None), 150-point grid" in res.stderr
+    assert "at least 201 points" in res.stderr and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

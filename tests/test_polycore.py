@@ -22,6 +22,12 @@ from exopoly.polycore import (
 )
 from exopoly.systems import _horner
 
+
+def quasi(body, s=0, a=0, b=0, c=0):
+    """e^(s*eta) * eta^a * (1-eta)^b * (1+eta)^c times body."""
+    return QuasiPoly(F(s), F(a), F(b), F(c), body)
+
+
 fractions_small = st.fractions(
     min_value=-20, max_value=20, max_denominator=8
 )
@@ -288,7 +294,7 @@ def test_float_eval_matches_exact_within_1e12(p, x):
 
 
 def test_quasi_derive_pure_exponential():
-    q = QuasiPoly.make(Poly([1]), s=-1)
+    q = quasi(Poly([1]), s=-1)
     d = q.derivative()
     assert d.prefactor == (F(-1), F(0), F(0), F(0))
     assert d.body == Poly([-1])
@@ -296,14 +302,14 @@ def test_quasi_derive_pure_exponential():
 
 def test_quasi_derive_power_rule():
     a = F(5, 2)
-    q = QuasiPoly.make(Poly([1]), a=a)
+    q = quasi(Poly([1]), a=a)
     d = q.derivative()
     assert d.prefactor == (F(0), a - 1, F(0), F(0))
     assert d.body == Poly([a])
 
 
 def test_quasi_derive_product_rule():
-    q = QuasiPoly.make(Poly([2, 1]), s=-1)
+    q = quasi(Poly([2, 1]), s=-1)
     d = q.derivative()
     assert d.prefactor == (F(-1), F(0), F(0), F(0))
     assert d.body == Poly([-1, -1])
@@ -314,7 +320,7 @@ def test_quasi_derive_hand_rule_two_powers():
     # must equal -b(1+eta)P + c(1-eta)P + (1-eta^2)P'
     b, c = F(7, 3), F(-1, 2)
     P = Poly([1, -4, F(2, 5)])
-    d = QuasiPoly.make(P, b=b, c=c).derivative()
+    d = quasi(P, b=b, c=c).derivative()
     got = quasi_extract(d, (0, 0, b - 1, c - 1))
     want = (
         Poly([1, 1]) * P * (-b)
@@ -325,32 +331,32 @@ def test_quasi_derive_hand_rule_two_powers():
 
 
 def test_quasi_extract_examples():
-    q = QuasiPoly.make(Poly([1]), s=-1, a=2)
+    q = quasi(Poly([1]), s=-1, a=2)
     assert quasi_extract(q, (-1, 1, 0, 0)) == ETA
 
     P = Poly([3, 1])
-    q2 = QuasiPoly.make(P, b=F(7, 2), c=1)
+    q2 = quasi(P, b=F(7, 2), c=1)
     assert quasi_extract(q2, (0, 0, F(7, 2), 0)) == Poly([1, 1]) * P
 
     with pytest.raises(IncompatiblePrefactorError):
-        quasi_extract(QuasiPoly.make(P, s=-1), (1, 0, 0, 0))
+        quasi_extract(quasi(P, s=-1), (1, 0, 0, 0))
     with pytest.raises(IncompatiblePrefactorError):
-        quasi_extract(QuasiPoly.make(P, a=F(1, 2)), (0, 0, 0, 0))
+        quasi_extract(quasi(P, a=F(1, 2)), (0, 0, 0, 0))
     with pytest.raises(IncompatiblePrefactorError):
-        quasi_extract(QuasiPoly.make(P, a=1), (0, 2, 0, 0))
+        quasi_extract(quasi(P, a=1), (0, 2, 0, 0))
 
 
 def test_quasi_add_aligns_integer_gaps():
-    q1 = QuasiPoly.make(Poly([1]), s=-1, a=F(5, 2))
-    q2 = QuasiPoly.make(Poly([2]), s=-1, a=F(1, 2))
+    q1 = quasi(Poly([1]), s=-1, a=F(5, 2))
+    q2 = quasi(Poly([2]), s=-1, a=F(1, 2))
     tot = q1 + q2
     assert tot.prefactor == (F(-1), F(1, 2), F(0), F(0))
     assert tot.body == Poly([2, 0, 1])
 
     with pytest.raises(IncompatiblePrefactorError):
-        QuasiPoly.make(Poly([1]), s=-1) + QuasiPoly.make(Poly([1]), s=1)
+        quasi(Poly([1]), s=-1) + quasi(Poly([1]), s=1)
     with pytest.raises(IncompatiblePrefactorError):
-        QuasiPoly.make(Poly([1]), a=F(1, 2)) + QuasiPoly.make(Poly([1]), a=0)
+        quasi(Poly([1]), a=F(1, 2)) + quasi(Poly([1]), a=0)
 
 
 @given(polys(max_degree=6))
@@ -358,7 +364,7 @@ def test_quasi_add_aligns_integer_gaps():
 def test_quasi_derivative_reduces_to_poly_calculus(body):
     # with integer prefactor exponents the quasi derivative must agree with
     # differentiating the fully expanded polynomial
-    q = QuasiPoly.make(body, a=1, b=2, c=1)
+    q = quasi(body, a=1, b=2, c=1)
     d = q.derivative()
     expanded = ETA * Poly([1, -1]) * Poly([1, -1]) * Poly([1, 1]) * body
     assert quasi_extract(d, (0, 0, 0, 0)) == expanded.derivative()

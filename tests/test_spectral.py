@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from exopoly.spectral import (
+    DEFAULT_POINTS,
+    MIN_POINTS,
     GridSpec,
     SpectrumReport,
     Tridiag,
@@ -14,6 +16,7 @@ from exopoly.spectral import (
     default_grid,
     discretize,
     eigen_lowest,
+    richardson_lowest,
     tridiag_from_potential,
 )
 from exopoly.systems import Case, Params, build_system, energy, wavefunction_eval
@@ -147,12 +150,56 @@ def test_count_below_matches_analytic_count():
 
 
 def test_eigenvalue_error_drops_at_second_order():
+    # the plain operator, without extrapolation
     sys = build_system(Case.L2, Params(1, F(-2)))
+    analytic = [float(energy(sys, j)) for j in range(3)]
     errs = []
     for n in (1000, 2000):
-        rep = compare_spectrum(sys, 3, GridSpec(1e-3, 12.0, n))
-        errs.append(rep.max_error)
+        vals = eigen_lowest(discretize(sys, GridSpec(1e-3, 12.0, n)), 3)
+        errs.append(max(abs(v - a) / a for v, a in zip(vals, analytic)))
     assert 2.5 < errs[0] / errs[1] < 6.0
+
+
+def test_extrapolation_cancels_the_second_order_term():
+    # zero potential on [0, pi]: the exact eigenvalues are j^2
+    exact = [1.0, 4.0, 9.0, 16.0, 25.0]
+    box = lambda g: tridiag_from_potential(np.zeros_like, g)
+    plain, extrapolated = [], []
+    for n in (399, 799):  # n + 1 doubles
+        grid = GridSpec(0.0, math.pi, n)
+        plain.append(max(abs(v - e) for v, e in zip(eigen_lowest(box(grid), 5), exact)))
+        extrapolated.append(max(abs(v - e) for v, e in zip(richardson_lowest(box, grid, 5), exact)))
+    assert 3.5 < plain[0] / plain[1] < 4.5
+    assert extrapolated[0] / extrapolated[1] > 10.0
+    assert extrapolated[1] < plain[1] / 100
+    # n + 1 odd: the coarse grid has 199 points, so r = (401/200)^2, not 4
+    grid = GridSpec(0.0, math.pi, 400)
+    plain_err = max(abs(v - e) for v, e in zip(eigen_lowest(box(grid), 5), exact))
+    assert max(abs(v - e) for v, e in zip(richardson_lowest(box, grid, 5), exact)) < plain_err / 1000
+
+
+def test_two_grids_share_the_box():
+    sys = build_system(Case.L2, Params(1, F(-2)))
+    rep = compare_spectrum(sys, 2)
+    assert (rep.grid.points, rep.coarse.points) == (DEFAULT_POINTS, 499)
+    assert rep.coarse.h == 2 * rep.grid.h
+    assert (rep.coarse.x_min, rep.coarse.x_max) == (rep.grid.x_min, rep.grid.x_max)
+    # an explicit grid whose point count + 1 is odd still works
+    rep = compare_spectrum(sys, 2, GridSpec(1e-3, 12.0, 4000))
+    assert rep.coarse.points == 1999 and rep.max_error < 1e-5
+
+
+def test_spectrum_errors_name_case_parameters_and_grid():
+    sys = build_system(Case.L2, Params(1, F(-2)))
+    with pytest.raises(ValueError, match=rf"case l2 \(ell=1, alpha=-2, beta=None\), "
+                                         rf"150-point grid: .*at least {MIN_POINTS} points"):
+        compare_spectrum(sys, 3, GridSpec(1e-3, 12.0, 150))
+    compare_spectrum(sys, 1, GridSpec(1e-3, 12.0, MIN_POINTS))
+    # x^2 underflows to zero on this box, so V = g/x^2 is infinite
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"case l2 \(ell=1, alpha=-2, beta=None\), 999-point grid: "
+                              r"potential is not finite at grid node 0"):
+        compare_spectrum(sys, 3, GridSpec(0.0, 1e-200, 999))
 
 
 def test_operator_residual_on_analytic_eigenfunctions():

@@ -14,10 +14,8 @@ from exopoly.systems import (
     NodelessnessError,
     ParameterError,
     Params,
-    _extj_bilinear,
     _horner,
     _substituted,
-    _j2_direct,
     build_system,
     energy,
     exceptional_poly,
@@ -30,6 +28,8 @@ from exopoly.systems import (
     wavefunction_eval,
     weight_exponents,
 )
+
+from oracles import extj_bilinear, j2_direct
 
 # canonical admissible parameter points per case, keyed by ell where needed
 L2_ALPHAS = lambda ell: [F(-2 * ell - 1, 2), F(-3 * ell - 4, 3), F(-ell - 3)]
@@ -227,7 +227,7 @@ def test_extj_bilinear_equals_reduced_form():
         for a, b in pts:
             sys = build_system(Case.EXTJ, Params(ell, a, b))
             for n in range(5):
-                assert _extj_bilinear(sys, n) == exceptional_poly(sys, n)
+                assert extj_bilinear(sys, n) == exceptional_poly(sys, n)
 
 
 def test_extj_node_law():
@@ -258,7 +258,7 @@ def test_j2_direct_derivation_cross_check():
             sys = build_system(Case.J2, Params(ell, a, b))
             for n in range(5):
                 sign = (-1) ** (ell + n + 1)
-                assert _j2_direct(sys, n) == sign * exceptional_poly(sys, n)
+                assert j2_direct(sys, n) == sign * exceptional_poly(sys, n)
 
 
 def test_proportionality_examples():
