@@ -7,6 +7,9 @@ floats printed with 17 significant digits, fixed random seeds).
 
 Exit codes: 0 success; 1 invalid input or inadmissible parameters;
 2 verification or computational failure.
+
+numpy loads on the first float call: --version, --help, construct, zeros and
+the exact verify suites never load it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from itertools import islice
 from typing import Optional
 
 import click
-import numpy as np
 
 from .classical import TheoremHypothesisError, count_zeros_exact, predict_zero_count
 from .polycore import rat
@@ -288,6 +290,9 @@ def spectrum(case_str, ell, alpha, beta, k, points, x_min, x_max, tol):
     if not 0 < tol < float("inf"):
         _fail("--tol must be finite and > 0", 1)
     sys = _build(case_str, ell, alpha, beta)
+    if points < MIN_POINTS:
+        _fail(f"{sys.label}, {points}-point grid: the two-grid spectrum needs at least "
+              f"{MIN_POINTS} points", 1)
     try:
         base = default_grid(sys, points)
         grid = GridSpec(
@@ -390,6 +395,7 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
 @click.option("--points", type=int, default=500)
 def plotdata(case_str, ell, alpha, beta, nmax, points):
     """CSV columns x, V(x), phi_0(x).. phi_nmax(x) over an interior grid."""
+    import numpy as np  # local: exact-only commands must not load numpy
     sys = _build(case_str, ell, alpha, beta)
     if points < 2:
         _fail("--points must be >= 2", 1)

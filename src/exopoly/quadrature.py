@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .polycore import Interval, Poly
 from .systems import XSystem, _horner, level_poly
 
@@ -64,6 +62,7 @@ def _tanh_sinh_raw(level: int, only_new: bool) -> tuple[np.ndarray, np.ndarray]:
     singularities live.  ``only_new`` keeps odd multiples of h only (the
     nodes added when refining level-1 to level).
     """
+    import numpy as np  # local: exact-only commands must not load numpy
     h = 2.0 ** (-level)
     u_max = 4.0
     j_max = int(u_max / h)
@@ -86,6 +85,7 @@ def _ts_points(domain: Interval, level: int, only_new: bool):
     with only_new=True only the nodes absent from the level-1 rule appear,
     so S(level) = S(level-1)/2 + dot(new weights, new values).
     """
+    import numpy as np
     lo, hi = float(domain.lo), float(domain.hi)
     if math.isinf(lo):
         raise ValueError("unsupported domain/scheme combination")
@@ -126,6 +126,7 @@ def make_rule(domain: Interval, scheme: str, level: int) -> QuadRule:
     right-half-infinite interval, robust to integrable endpoint
     singularities.
     """
+    import numpy as np
     if level < 1:
         raise ValueError("level must be >= 1")
     if scheme == "tanh_sinh":
@@ -150,6 +151,7 @@ def _refine(domain: Interval, block_sums, rtol: float, max_nodes: int, where):
     integral of |f|), so tiny integrals (orthogonality defects) converge too.
     At the node cap the error names the first unconverged entry via ``where``.
     """
+    import numpy as np
     prev, n_nodes, level = None, 0, 1
     total = total_abs = 0.0
     while True:
@@ -183,6 +185,8 @@ def integrate(
 ) -> float:
     """Adaptive tanh-sinh integration of a vectorized integrand; raises
     QuadratureConvergenceError with the best estimate at the node cap."""
+    import numpy as np
+
     def block_sums(nodes, weights):
         vals = np.asarray(f(nodes), dtype=float)
         return np.dot(weights, vals), np.dot(weights, np.abs(vals))
@@ -194,6 +198,7 @@ def _phi(sys: XSystem, polys: list[Poly]):
     """Phi[n](eta) = sqrt(w) p_n / xi, one row per polynomial, for an array of
     nodes; sign times exp of a log-space magnitude, so the weight factor
     neither overflows nor underflows ahead of the polynomials."""
+    import numpy as np
     w = sys.weight
     s, a, b, c = float(w.s), float(w.a), float(w.b), float(w.c)
     coeffs, cxi = [p.float_coeffs() for p in polys], sys.xi.float_coeffs()
@@ -218,7 +223,7 @@ def _phi(sys: XSystem, polys: list[Poly]):
 def inner_product(sys: XSystem, n: int, m: int, rtol: float = 1e-12) -> float:
     """<p_n, p_m> under the system's orthogonality weight (level-indexed)."""
     phi = _phi(sys, [level_poly(sys, n), level_poly(sys, m)])
-    return integrate(lambda eta: np.prod(phi(eta), axis=0), sys.domain_eta, rtol=rtol)
+    return integrate(lambda eta: phi(eta).prod(axis=0), sys.domain_eta, rtol=rtol)
 
 
 @dataclass(frozen=True)
@@ -235,11 +240,10 @@ def gram(sys: XSystem, N: int, rtol: float = 1e-12) -> GramReport:
     extended Jacobi case level 0 is the constant ground function.  Each level
     evaluates Phi once per new node and adds (Phi w) Phi^T to every entry.
     """
+    import numpy as np
     if N < 2:
         raise ValueError("need at least two levels")
     phi = _phi(sys, [level_poly(sys, n) for n in range(N)])
-    p = sys.params
-    head = f"case {sys.case.value} (ell={p.ell}, alpha={p.alpha}, beta={p.beta})"
 
     def block_sums(nodes, weights):
         # einsum, not a BLAS product: BLAS buffers add ~0.5 MB to a process's peak RSS
@@ -248,7 +252,7 @@ def gram(sys: XSystem, N: int, rtol: float = 1e-12) -> GramReport:
         return np.einsum("ik,jk->ij", vw, v), np.einsum("ik,jk->ij", np.abs(vw), np.abs(v))
 
     raw = _refine(sys.domain_eta, block_sums, rtol, _MAX_NODES,
-                  lambda idx: f"{head}, pair ({idx[0]}, {idx[1]}): ")
+                  lambda idx: f"{sys.label}, pair ({idx[0]}, {idx[1]}): ")
     raw = np.triu(raw) + np.triu(raw, 1).T
     positive = np.diag(raw) > 0
     if not positive.all():

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .systems import Case, XSystem, energy, potential_eval
 
 __all__ = [
@@ -67,6 +65,7 @@ class GridSpec:
         return (self.x_max - self.x_min) / (self.points + 1)
 
     def interior(self) -> np.ndarray:
+        import numpy as np  # local: exact-only commands must not load numpy
         return self.x_min + self.h * np.arange(1, self.points + 1)
 
     def coarse(self) -> "GridSpec":
@@ -94,6 +93,7 @@ def default_grid(sys: XSystem, points: int = DEFAULT_POINTS) -> GridSpec:
 def tridiag_from_potential(v: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> Tridiag:
     """Central-difference matrix: 2/h^2 + V(x_i) on the diagonal, -1/h^2 off;
     v maps the array of interior nodes x_i to the values V(x_i)."""
+    import numpy as np
     h = grid.h
     xs = grid.interior()
     vals = np.asarray(v(xs), dtype=float)
@@ -101,7 +101,7 @@ def tridiag_from_potential(v: Callable[[np.ndarray], np.ndarray], grid: GridSpec
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"potential is not finite at grid node {i} (x={xs[i]!r}, V={vals[i]!r})"
+            f"potential is not finite at grid node {i} (x={float(xs[i])!r}, V={float(vals[i])!r})"
         )
     diag = 2.0 / h**2 + vals
     off = np.full(len(xs) - 1, -1.0 / h**2)
@@ -207,9 +207,7 @@ def compare_spectrum(sys: XSystem, k: int = 5, grid: Optional[GridSpec] = None) 
     try:
         numeric = richardson_lowest(lambda g: discretize(sys, g), grid, k)
     except ValueError as exc:
-        p = sys.params
-        raise ValueError(f"case {sys.case.value} (ell={p.ell}, alpha={p.alpha}, beta={p.beta}), "
-                         f"{grid.points}-point grid: {exc}") from exc
+        raise ValueError(f"{sys.label}, {grid.points}-point grid: {exc}") from exc
     analytic = [energy(sys, j) for j in range(k)]
     errors = []
     for a, v in zip(analytic, numeric):

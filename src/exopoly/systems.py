@@ -31,8 +31,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
 from .classical import TheoremHypothesisError, jacobi, laguerre, nodeless_condition
 from .polycore import (
     ETA,
@@ -175,6 +173,12 @@ class XSystem:
 
     def eta_of_x(self, x: np.ndarray) -> np.ndarray:
         return x * x if self.case.is_laguerre else _per_node(math.cos, 2 * x)
+
+    @property
+    def label(self) -> str:
+        """'case l2 (ell=1, alpha=-2, beta=None)': how error messages name the system."""
+        p = self.params
+        return f"case {self.case.value} (ell={p.ell}, alpha={p.alpha}, beta={p.beta})"
 
     @cached_property
     def residual_operator(self) -> tuple[Poly, Poly, Poly, Poly]:
@@ -520,11 +524,14 @@ def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
 # ---------------------------------------------------------------------------
 # float evaluation over arrays of points
 # ---------------------------------------------------------------------------
+# numpy is imported inside each float function, here and in quadrature,
+# spectral and cli, so that the exact layer and its commands never load it
 
 
 def _per_node(f: Callable[[float], float], t: np.ndarray) -> np.ndarray:
     """f node by node, so exp, pow, sin and cos come from libm: numpy's own
     differ from it in the last ulp on some nodes, and printed values must not."""
+    import numpy as np
     return np.fromiter(map(f, t.tolist()), float, len(t))
 
 
@@ -538,6 +545,7 @@ def _horner(coeffs: list[float], eta):
 
 def _interior(sys: XSystem, x) -> np.ndarray:
     """x as a 1-d float array, every node inside the open physical domain."""
+    import numpy as np
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = float(sys.domain_x.lo), float(sys.domain_x.hi)
     bad = np.flatnonzero(~((lo < xs) & (xs < hi)))
@@ -549,21 +557,25 @@ def _interior(sys: XSystem, x) -> np.ndarray:
 def potential_eval(sys: XSystem, x):
     """V(x) from the prepotential and deforming function; x is a float or a
     1-d array of points, and the result takes the same form."""
+    import numpy as np
     xs = _interior(sys, x)
     eta = sys.eta_of_x(xs)
     xi, dxi, dot2, q, ddot, c1 = (
         _horner(p.float_coeffs(), eta)
         for p in (sys.xi, sys.xi.derivative(), sys.eta_dot2, sys.Q, sys.eta_ddot, sys.c1)
     )
-    r = dxi / xi
     sgn = sys.c2_sign
-    v = sys.w0.v0(xs) + r * (2 * dot2 * r - (2 * q + ddot) + sgn * c1) + sgn * float(sys.xi_tilde_E)
+    # a node too near a wall gives inf or nan, silently: tridiag_from_potential names it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = dxi / xi
+        v = sys.w0.v0(xs) + r * (2 * dot2 * r - (2 * q + ddot) + sgn * c1) + sgn * float(sys.xi_tilde_E)
     return v if np.ndim(x) else float(v[0])
 
 
 def wavefunction_eval(sys: XSystem, level: int, x):
     """Unnormalized eigenfunction of the given level; x is a float or a 1-d
     array of points, and the result takes the same form."""
+    import numpy as np
     xs = _interior(sys, x)
     P = level_poly(sys, level)
     ps, pa, pb, pc = sys.p_prefactor

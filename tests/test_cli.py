@@ -220,9 +220,11 @@ def test_zeros_negative_ell_rejected(query):
 
 
 def test_spectrum_too_few_points_rejected():
+    # below GridSpec's own minimum of 100, the message still names the case and the real minimum
     res = _main("spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2", "--points", "50")
     assert res.returncode == 1 and res.stdout == ""
-    assert "at least 100 grid points" in res.stderr and "Traceback" not in res.stderr
+    assert "case l2 (ell=1, alpha=-2, beta=None), 50-point grid" in res.stderr
+    assert "at least 201 points" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_spectrum_grid_without_a_coarse_partner_rejected():
@@ -231,6 +233,16 @@ def test_spectrum_grid_without_a_coarse_partner_rejected():
     assert res.returncode == 1 and res.stdout == ""
     assert "case l2 (ell=1, alpha=-2, beta=None), 150-point grid" in res.stderr
     assert "at least 201 points" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_spectrum_infinite_potential_reported_without_numpy_noise():
+    # the first node, x = 1e-203, squares to 0.0, so V is inf there
+    res = _main("spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2",
+                "--x-min", "0", "--x-max", "1e-200")
+    assert res.returncode == 1 and res.stdout == ""
+    assert "RuntimeWarning" not in res.stderr and "np.float64" not in res.stderr
+    assert "case l2 (ell=1, alpha=-2, beta=None)" in res.stderr
+    assert "(x=1e-203, V=inf)" in res.stderr and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
