@@ -5,9 +5,13 @@ negative values where the usual three-term recurrences break down: each
 polynomial is its explicit sum (DLMF 18.5(iii)), polynomial in the
 parameters, taken in one pass over Python ints.  Each constructed polynomial
 is verified once against its defining second-order equation, so a
-transcription error cannot survive construction.  The module also provides the derivative/contiguity identity suite and the classical
-zero-counting theory (zero counts on the positive axis and on (-1, 1),
-together with the Klein symbol and the nodelessness criterion).
+transcription error cannot survive construction.  The check runs power by
+power: the equation applied to sum c_k eta^k is one integer identity per k
+among c_k, c_{k+1} and c_{k+2}, the same condition as a zero residual
+polynomial in O(n) integer operations.  The module also provides the
+derivative/contiguity identity suite and the classical zero-counting theory
+(zero counts on the positive axis and on (-1, 1), together with the Klein
+symbol and the nodelessness criterion).
 """
 
 from __future__ import annotations
@@ -74,9 +78,13 @@ def _laguerre_cached(n: int, alpha: Fraction) -> Poly:
 
 
 def _check_laguerre_ode(n: int, alpha: Fraction, L: Poly) -> None:
-    resid = ETA * L.derivative().derivative() \
-        + Poly([alpha + 1, -1]) * L.derivative() + n * L
-    if not resid.is_zero:
+    # eta L'' + (alpha + 1 - eta) L' + n L = 0 at each power eta^k of
+    # L = sum c_k eta^k: (k+1)(k+alpha+1) c_{k+1} + (n-k) c_k = 0, times q
+    # for alpha = p/q and over L's common denominator
+    p, q = alpha.numerator, alpha.denominator
+    c = L._num + (0,)
+    if any((k + 1) * (k * q + p + q) * c[k + 1] + q * (n - k) * c[k]
+           for k in range(len(c) - 1)):
         raise AssertionError(f"Laguerre construction failed its equation: n={n}, alpha={alpha}")
 
 
@@ -107,10 +115,15 @@ def _jacobi_cached(n: int, alpha: Fraction, beta: Fraction) -> Poly:
 
 
 def _check_jacobi_ode(n: int, alpha: Fraction, beta: Fraction, P: Poly) -> None:
-    resid = Poly([1, 0, -1]) * P.derivative().derivative() \
-        + Poly([beta - alpha, -(alpha + beta + 2)]) * P.derivative() \
-        + n * (n + alpha + beta + 1) * P
-    if not resid.is_zero:
+    # (1-eta^2) P'' + (beta - alpha - (alpha+beta+2) eta) P' + n(n+alpha+beta+1) P = 0
+    # at each power eta^k of P = sum c_k eta^k:
+    # (k+1)(k+2) c_{k+2} + (k+1)(beta-alpha) c_{k+1} + (n-k)(n+k+alpha+beta+1) c_k = 0,
+    # times d for alpha = A/d, beta = B/d and over P's common denominator
+    d = math.lcm(alpha.denominator, beta.denominator)
+    A, B = int(alpha * d), int(beta * d)
+    c = P._num + (0, 0)
+    if any(d * (k + 1) * (k + 2) * c[k + 2] + (k + 1) * (B - A) * c[k + 1]
+           + (n - k) * (d * (n + k + 1) + A + B) * c[k] for k in range(len(c) - 2)):
         raise AssertionError(
             f"Jacobi construction failed its equation: n={n}, alpha={alpha}, beta={beta}"
         )

@@ -285,31 +285,10 @@ def _prem(a: Poly, b: Poly) -> Poly:
     return Poly._of(_pseudo_divmod(a._num, b._num)[1]).primitive()
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Euclidean gcd over the rationals, primitive-normalised each step."""
-    a, b = a.primitive(), b.primitive()
-    while not b.is_zero:
-        a, b = b, _prem(a, b)
-    return a
-
-
-def _squarefree(p: Poly) -> Poly:
-    g = _poly_gcd(p, p.derivative())
-    if g.degree() <= 0:
-        return p
-    return (p // g)
-
-
 def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p.primitive()]
-    d = p.derivative()
-    if d.is_zero:
-        return chain
-    chain.append(d.primitive())
-    while True:
-        r = _prem(chain[-2], chain[-1])
-        if r.is_zero:
-            break
+    """Signed remainder sequence of (p, p') for deg p >= 1, each term primitive."""
+    chain = [p.primitive(), p.derivative().primitive()]
+    while r := _prem(chain[-2], chain[-1]):
         chain.append(-r)
     return chain
 
@@ -356,16 +335,20 @@ def sturm_count(p: Poly, iv: Interval) -> int:
     for bound, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
         if _is_inf(bound):
             continue
-        if work(bound) == 0:
+        if not work._homogeneous(bound):
             if closed:
                 endpoint_roots += 1
             linear = Poly([-bound, 1])
-            while not work.is_zero and work(bound) == 0:
+            while not work._homogeneous(bound):
                 work = work // linear
     if work.degree() <= 0:
         return endpoint_roots
 
-    chain = _sturm_chain(_squarefree(work))
+    # no square-free step: the signed remainder sequence of (work, work')
+    # ends in their gcd, and sign variations at two non-roots of work still
+    # differ by its number of distinct roots between them (Basu, Pollack &
+    # Roy, Algorithms in Real Algebraic Geometry, Thm 2.50)
+    chain = _sturm_chain(work)
     v_lo = _sign_variations(_chain_signs_at(chain, iv.lo))
     v_hi = _sign_variations(_chain_signs_at(chain, iv.hi))
     return (v_lo - v_hi) + endpoint_roots

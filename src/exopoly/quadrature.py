@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .polycore import Interval, Poly
-from .systems import XSystem, _horner, level_poly
+from .systems import Array, XSystem, _horner, level_poly
 
 __all__ = [
     "QuadRule",
@@ -47,13 +47,13 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadRule:
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: Array
+    weights: Array
     domain: Interval
     scheme: str
 
 
-def _tanh_sinh_raw(level: int, only_new: bool) -> tuple[np.ndarray, np.ndarray]:
+def _tanh_sinh_raw(level: int, only_new: bool) -> tuple[Array, Array]:
     """Abscissa offsets and weights on (-1, 1) at step h = 2^-level.
 
     Returns (delta, w) where delta > 0 is the distance of the node from the
@@ -178,7 +178,7 @@ def _refine(domain: Interval, block_sums, rtol: float, max_nodes: int, where):
 
 
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[Array], Array],
     domain: Interval,
     rtol: float = 1e-12,
     max_nodes: int = _MAX_NODES,
@@ -203,7 +203,7 @@ def _phi(sys: XSystem, polys: list[Poly]):
     s, a, b, c = float(w.s), float(w.a), float(w.b), float(w.c)
     coeffs, cxi = [p.float_coeffs() for p in polys], sys.xi.float_coeffs()
 
-    def phi(eta: np.ndarray) -> np.ndarray:
+    def phi(eta: Array) -> Array:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_w = s * eta
             if a:

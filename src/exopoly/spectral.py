@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .systems import Case, XSystem, energy, potential_eval
+from .systems import Array, Case, XSystem, energy, potential_eval
 
 __all__ = [
     "GridSpec",
@@ -64,7 +64,7 @@ class GridSpec:
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.points + 1)
 
-    def interior(self) -> np.ndarray:
+    def interior(self) -> Array:
         import numpy as np  # local: exact-only commands must not load numpy
         return self.x_min + self.h * np.arange(1, self.points + 1)
 
@@ -77,8 +77,8 @@ class GridSpec:
 class Tridiag:
     """Symmetric tridiagonal operator (diagonal and subdiagonal)."""
 
-    diag: np.ndarray
-    off: np.ndarray
+    diag: Array
+    off: Array
 
     def __post_init__(self):
         if len(self.off) != len(self.diag) - 1:
@@ -90,7 +90,7 @@ def default_grid(sys: XSystem, points: int = DEFAULT_POINTS) -> GridSpec:
     return GridSpec(lo, hi, points)
 
 
-def tridiag_from_potential(v: Callable[[np.ndarray], np.ndarray], grid: GridSpec) -> Tridiag:
+def tridiag_from_potential(v: Callable[[Array], Array], grid: GridSpec) -> Tridiag:
     """Central-difference matrix: 2/h^2 + V(x_i) on the diagonal, -1/h^2 off;
     v maps the array of interior nodes x_i to the values V(x_i)."""
     import numpy as np

@@ -29,21 +29,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .classical import TheoremHypothesisError, jacobi, laguerre, nodeless_condition
-from .polycore import (
-    ETA,
-    IncompatiblePrefactorError,
-    Interval,
-    ONE,
-    POS_INF,
-    Poly,
-    QuasiPoly,
-    quasi_extract,
-    rat,
-    sturm_count,
-)
+from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, sturm_count
 
 __all__ = [
     "Case",
@@ -68,6 +57,10 @@ __all__ = [
     "wavefunction_eval",
     "weight_exponents",
 ]
+
+
+#: a float numpy array in annotations, which must not name numpy (see the float section)
+Array = Any
 
 
 class Case(str, Enum):
@@ -121,7 +114,7 @@ class Prepotential:
     beta: Optional[Fraction] = None
     quad_sign: Optional[int] = None
 
-    def v0(self, x: np.ndarray) -> np.ndarray:
+    def v0(self, x: Array) -> Array:
         """The undeformed part W0'^2 + W0'' of the potential, over an array."""
         a = self.alpha
         g = float((a + Fraction(1, 2)) * (a + Fraction(3, 2)))
@@ -171,8 +164,13 @@ class XSystem:
     p_prefactor: tuple[Fraction, Fraction, Fraction, Fraction]
     notes: tuple[str, ...] = ()
 
-    def eta_of_x(self, x: np.ndarray) -> np.ndarray:
+    def eta_of_x(self, x: Array) -> Array:
         return x * x if self.case.is_laguerre else _per_node(math.cos, 2 * x)
+
+    @cached_property
+    def _family(self) -> dict[int, Poly]:
+        """P_n by n, filled by exceptional_poly and freed with the system."""
+        return {}
 
     @property
     def label(self) -> str:
@@ -182,14 +180,32 @@ class XSystem:
 
     @cached_property
     def residual_operator(self) -> tuple[Poly, Poly, Poly, Poly]:
-        """(A, B, C, D) with ode_residual = A P'' + B P' + (C + E D) P: the
-        substitution is linear in P and strips a prefactor that does not
-        depend on P, so A..D are read off P = 1, eta, eta^2 once per system."""
-        C = _substituted(self, ONE, Fraction(0))
-        D = _substituted(self, ONE, Fraction(1)) - C
-        B = _substituted(self, ETA, Fraction(0)) - C * ETA
-        A = (_substituted(self, ETA * ETA, Fraction(0)) - (2 * B + C * ETA) * ETA) * _HALF
-        return A, B, C, D
+        """(A, B, C, D) with ode_residual = A P'' + B P' + (C + E D) P.
+
+        For p = prefactor * P and g = prefactor'/prefactor, the equation
+        eta_dot^2 xi p'' + mid p' + E xi p is the prefactor times
+        eta_dot^2 xi (P'' + 2g P' + (g' + g^2) P) + mid (P' + g P) + E xi P,
+        taken times m^2 (m: the prefactor's factors of nonzero exponent).
+        At exponent 1 the double poles of g' and g^2 cancel, so that factor
+        is divided out once: the prefactor's lowest power is what is left.
+        """
+        s, *exps = self.p_prefactor
+        factors = [(e, f) for e, f in zip(exps, (ETA, Poly([1, -1]), Poly([1, 1]))) if e]
+        m, G, m2g1 = ONE, Poly([s]), Poly()  # G = m g and m2g1 = m^2 g', factor by factor
+        for e, f in factors:  # f' = +-1, so (e f'/f)' = -e/f^2
+            G = G * f + e * f.derivative() * m
+            m2g1 = m2g1 * f * f - e * m * m
+            m = m * f
+        xi = self.xi
+        top = self.eta_dot2 * xi
+        mid = (2 * self.Q + self.eta_ddot) * xi - 2 * self.eta_dot2 * xi.derivative()
+        mm = m * m
+        ops = (mm * top, 2 * m * G * top + mm * mid,
+               (m2g1 + G * G) * top + m * G * mid, mm * xi)
+        for e, f in factors:
+            if e == 1:
+                ops = tuple(X // f for X in ops)
+        return ops
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +426,18 @@ def exceptional_poly(sys: XSystem, n: int) -> Poly:
 
     The scalar prefactors (4, -4) of the full solution p are not folded in.
     Degrees: ell+n for l1/l2/j1/j2 (away from degree-degenerate deforming
-    functions) and ell+n+1 for extj.
+    functions) and ell+n+1 for extj.  Each member is built once per system,
+    and later calls return the same Poly.
     """
     if n < 0:
         raise ValueError("family index must be nonnegative")
+    P = sys._family.get(n)
+    if P is None:
+        P = sys._family[n] = _exceptional(sys, n)
+    return P
+
+
+def _exceptional(sys: XSystem, n: int) -> Poly:
     ell, a, b = sys.params.ell, sys.params.alpha, sys.params.beta
     if sys.case is Case.L2:
         U = laguerre(n, -a)
@@ -486,30 +510,6 @@ def proportionality(p: Poly, q: Poly) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _substituted(sys: XSystem, P: Poly, E: Fraction) -> Poly:
-    """The eigen-equation residual of P at energy E, by substitution.
-
-    Builds p = prefactor * P, substitutes into
-
-        eta_dot^2 p'' + (2 W0' eta_dot + eta_ddot - 2 eta_dot^2 xi'/xi) p' + E p,
-
-    multiplies through by xi and strips the common algebraic prefactor.
-    """
-    p = QuasiPoly(*sys.p_prefactor, P)
-    p1 = p.derivative()
-    p2 = p1.derivative()
-    mid = (2 * sys.Q + sys.eta_ddot) * sys.xi - 2 * sys.eta_dot2 * sys.xi.derivative()
-    try:
-        total = (
-            p2.times_poly(sys.eta_dot2 * sys.xi)
-            + p1.times_poly(mid)
-            + p.times_poly(sys.xi).scaled(E)
-        )
-        return quasi_extract(total, total.prefactor)
-    except IncompatiblePrefactorError as exc:
-        raise ConstructionError("residual not quasi-polynomial") from exc
-
-
 def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
     """Exact residual of the eigen-equation for family member n: the
     system's ``residual_operator`` applied to P_n at its energy, the zero
@@ -528,7 +528,7 @@ def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
 # spectral and cli, so that the exact layer and its commands never load it
 
 
-def _per_node(f: Callable[[float], float], t: np.ndarray) -> np.ndarray:
+def _per_node(f: Callable[[float], float], t: Array) -> Array:
     """f node by node, so exp, pow, sin and cos come from libm: numpy's own
     differ from it in the last ulp on some nodes, and printed values must not."""
     import numpy as np
@@ -543,7 +543,7 @@ def _horner(coeffs: list[float], eta):
     return acc
 
 
-def _interior(sys: XSystem, x) -> np.ndarray:
+def _interior(sys: XSystem, x) -> Array:
     """x as a 1-d float array, every node inside the open physical domain."""
     import numpy as np
     xs = np.atleast_1d(np.asarray(x, dtype=float))

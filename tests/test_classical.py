@@ -7,6 +7,8 @@ import pytest
 
 from exopoly.classical import (
     IDENTITIES,
+    _check_jacobi_ode,
+    _check_laguerre_ode,
     TheoremHypothesisError,
     binomial,
     count_zeros_exact,
@@ -195,6 +197,20 @@ def test_defining_equations_hold_on_random_draws():
             + n * (n + a + b + 1) * P
         )
         assert jac_resid.is_zero
+
+
+@pytest.mark.parametrize("check, params, built", [
+    (_check_laguerre_ode, (6, F(1, 3)), laguerre(6, F(1, 3))),
+    (_check_jacobi_ode, (6, F(1, 2), F(-2, 3)), jacobi(6, F(1, 2), F(-2, 3))),
+    # degree-degenerate: P_3^(-5/2, -7/2) has degree 2 < 3
+    (_check_jacobi_ode, (3, F(-5, 2), F(-7, 2)), jacobi(3, F(-5, 2), F(-7, 2))),
+])
+def test_coefficientwise_self_check_catches_one_perturbed_coefficient(check, params, built):
+    check(*params, built)
+    for k in range(built.degree() + 1):
+        mutant = Poly([c + (j == k) for j, c in enumerate(built.coeffs)])
+        with pytest.raises(AssertionError, match="failed its equation"):
+            check(*params, mutant)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,18 @@ def test_exact_commands_load_no_numpy(args):
     assert res.returncode == 0, res.stderr
 
 
+def test_type_hints_resolve_without_numpy():
+    res = _fresh(
+        "import sys, typing\n"
+        "from exopoly.quadrature import QuadRule\n"
+        "from exopoly.spectral import GridSpec, Tridiag\n"
+        "from exopoly.systems import XSystem\n"
+        "for obj in (QuadRule, Tridiag, GridSpec.interior, XSystem.eta_of_x):\n"
+        "    typing.get_type_hints(obj)\n"
+        "assert 'numpy' not in sys.modules")
+    assert res.returncode == 0, res.stderr
+
+
 def test_float_modules_are_imported_eagerly():
     # perfbench/tracer.py reads these from sys.modules right after importing
     # exopoly.cli, and rebinds their functions in place

@@ -258,6 +258,32 @@ def test_sturm_count_matches_sympy(p, lo, width, lo_closed, hi_closed, kind):
     assert sturm_count(p, iv) == _sympy_count(p, iv)
 
 
+def _linear_power(root, k):
+    out = Poly([1])
+    for _ in range(k):
+        out = out * Poly([-root, 1])
+    return out
+
+
+@pytest.mark.parametrize("p, iv, want", [
+    # triple root inside (-1, 1): the remainder sequence ends in (eta - 1/3)^2
+    (_linear_power(F(1, 3), 3) * Poly([F(1, 2), 1]) * Poly([1, 0, 1]),
+     Interval(F(-1), F(1)), 2),
+    # double root on an open, then on a closed endpoint
+    (_linear_power(F(1), 2) * _linear_power(F(-1, 5), 2) * Poly([3, 1]),
+     Interval(F(-1), F(1)), 1),
+    (_linear_power(F(1), 2) * _linear_power(F(-1, 5), 2) * Poly([3, 1]),
+     Interval(F(-1), F(1), hi_closed=True), 2),
+    # half-infinite, a triple and a double root
+    (_linear_power(F(2), 3) * _linear_power(F(-1), 2) * Poly([-5, 1]),
+     Interval(F(0), POS_INF), 2),
+    (_linear_power(F(2), 3) * _linear_power(F(-1), 2) * Poly([-5, 1]),
+     Interval(F(-1), POS_INF, lo_closed=True), 3),
+])
+def test_sturm_count_of_repeated_roots_matches_sympy(p, iv, want):
+    assert sturm_count(p, iv) == _sympy_count(p, iv) == want
+
+
 # ---------------------------------------------------------------------------
 # evaluation: exact vs floating
 # ---------------------------------------------------------------------------

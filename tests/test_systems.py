@@ -15,7 +15,6 @@ from exopoly.systems import (
     ParameterError,
     Params,
     _horner,
-    _substituted,
     build_system,
     energy,
     exceptional_poly,
@@ -29,7 +28,7 @@ from exopoly.systems import (
     weight_exponents,
 )
 
-from oracles import extj_bilinear, j2_direct
+from oracles import extj_bilinear, j2_direct, substituted
 
 # canonical admissible parameter points per case, keyed by ell where needed
 L2_ALPHAS = lambda ell: [F(-2 * ell - 1, 2), F(-3 * ell - 4, 3), F(-ell - 3)]
@@ -305,24 +304,43 @@ def test_residual_zero_across_grid():
             assert ode_residual(sys, n).is_zero, (sys.case, sys.params, n)
 
 
+def test_family_member_built_once_per_system():
+    from exopoly.classical import _jacobi_cached, _laguerre_cached
+
+    for case, params in ((Case.L2, Params(2, F(-7, 2))), (Case.J1, Params(1, F(1, 2), F(-2))),
+                         (Case.EXTJ, Params(2, F(-5, 2), F(-5, 2)))):
+        sys = build_system(case, params)
+        P = exceptional_poly(sys, 5)
+        assert exceptional_poly(sys, 5) is P
+        _jacobi_cached.cache_clear()
+        _laguerre_cached.cache_clear()
+        assert ode_residual(sys, 5).is_zero
+        for cached in (_jacobi_cached, _laguerre_cached):
+            assert cached.cache_info().misses == 0, (case, cached)
+        assert build_system(case, params).__dict__.get("_family") is None
+
+
 def test_residual_operator_equals_the_substitution():
-    # A P'' + B P' + (C + E D) P, read off once per system, must be the
+    # A P'' + B P' + (C + E D) P, built once per system, must be the
     # QuasiPoly substitution itself for any stand-in P and any energy
     from exopoly.verify import grid_systems
 
     rng = random.Random(2718)
-    for sys in grid_systems(ells=(0, 1, 2, 3)):
+    # l1 at alpha=-1 and alpha=0: prefactor exponent alpha+1 of 0 and of 1,
+    # where the substitution strips no power of eta and one power, not two
+    extra = [build_system(Case.L1, Params(0, F(-1))), build_system(Case.L1, Params(1, F(0)))]
+    for sys in [*grid_systems(ells=(0, 1, 2, 3)), *extra]:
         assert "residual_operator" not in sys.__dict__  # built on first use only
         for _ in range(4):
             n = rng.randint(0, 8)
             P = Poly([F(rng.randint(-30, 30), rng.randint(1, 7))
                       for _ in range(rng.randint(1, 14))])
-            want = _substituted(sys, P, family_energy(sys, n))
+            want = substituted(sys, P, family_energy(sys, n))
             assert ode_residual(sys, n, P) == want, (sys.case, sys.params, n)
             A, B, C, D = sys.residual_operator
             E = F(rng.randint(-99, 99), rng.randint(1, 5))
             P1 = P.derivative()
-            assert A * P1.derivative() + B * P1 + (C + E * D) * P == _substituted(sys, P, E)
+            assert A * P1.derivative() + B * P1 + (C + E * D) * P == substituted(sys, P, E)
         assert sys.residual_operator is sys.residual_operator
 
 
