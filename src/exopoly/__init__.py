@@ -18,28 +18,21 @@ from .classical import (
     laguerre,
     nodeless_condition,
     predict_zero_count,
-    verify_identity,
 )
 from .polycore import (
     ETA,
-    IncompatiblePrefactorError,
     IndeterminateRootCountError,
     Interval,
     Poly,
-    QuasiPoly,
-    Rational,
-    quasi_extract,
     rat,
     sturm_count,
 )
 from .quadrature import (
     GramReport,
-    QuadRule,
     QuadratureConvergenceError,
     gram,
     inner_product,
     integrate,
-    make_rule,
 )
 from .spectral import (
     GridSpec,
@@ -71,7 +64,6 @@ from .systems import (
     potential_eval,
     proportionality,
     wavefunction_eval,
-    weight_exponents,
 )
 from .verify import SUITES, VerifyOutcome, run_suite
 
@@ -80,21 +72,19 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # exact core
-    "Rational", "rat", "Poly", "ETA", "Interval", "QuasiPoly", "quasi_extract",
-    "sturm_count", "IncompatiblePrefactorError", "IndeterminateRootCountError",
+    "rat", "Poly", "ETA", "Interval", "sturm_count", "IndeterminateRootCountError",
     # classical families
     "laguerre", "jacobi", "jacobi_is_degree_degenerate", "binomial",
-    "IDENTITIES", "verify_identity", "klein_E", "predict_zero_count",
+    "IDENTITIES", "klein_E", "predict_zero_count",
     "nodeless_condition", "ZeroCountPrediction", "TheoremHypothesisError",
     # systems
     "Case", "Params", "XSystem", "Prepotential", "WeightExponents",
     "build_system", "energy", "family_energy", "exceptional_poly", "shifted_form_poly",
     "level_poly", "proportionality", "ode_residual", "potential_eval",
-    "wavefunction_eval", "weight_exponents",
+    "wavefunction_eval",
     "ParameterError", "NodelessnessError", "ConstructionError",
     # quadrature
-    "QuadRule", "make_rule", "integrate", "inner_product", "gram",
-    "GramReport", "QuadratureConvergenceError",
+    "integrate", "inner_product", "gram", "GramReport", "QuadratureConvergenceError",
     # spectral
     "GridSpec", "Tridiag", "tridiag_from_potential", "discretize",
     "eigen_lowest", "richardson_lowest", "compare_spectrum", "default_grid", "SpectrumReport",

@@ -31,7 +31,6 @@ __all__ = [
     "jacobi_is_degree_degenerate",
     "IDENTITIES",
     "identity_residual",
-    "verify_identity",
     "klein_E",
     "TheoremHypothesisError",
     "ZeroCountPrediction",
@@ -165,44 +164,30 @@ def identity_residual(name: str, ell: int, alpha, beta=None) -> Poly:
     ``beta`` too.  Identities referencing degree ell-1 require ell >= 1.
     """
     a = rat(alpha)
-    if name.startswith("L"):
-        if name == "L-1":
-            if ell < 1:
-                raise ValueError("identity needs degree >= 1")
-            return laguerre(ell, a).derivative() + laguerre(ell - 1, a + 1)
-        if name == "L-2":
-            if ell < 1:
-                raise ValueError("identity needs degree >= 1")
-            return laguerre(ell, a) + laguerre(ell - 1, a + 1) - laguerre(ell, a + 1)
-        if name == "L-3":
-            if ell < 1:
-                raise ValueError("identity needs degree >= 1")
-            return ETA * laguerre(ell - 1, a + 2) \
-                - (a + 1) * laguerre(ell - 1, a + 1) + ell * laguerre(ell, a)
-        raise ValueError(f"unknown identity {name!r}")
-
-    if beta is None:
-        raise ValueError("Jacobi identities need beta")
-    b = rat(beta)
+    if not name.startswith("L"):
+        if beta is None:
+            raise ValueError("Jacobi identities need beta")
+        b = rat(beta)
+    if name in IDENTITIES[:7] and ell < 1:  # L-1..L-3 and J-1..J-4 reference degree ell-1
+        raise ValueError("identity needs degree >= 1")
+    if name == "L-1":
+        return laguerre(ell, a).derivative() + laguerre(ell - 1, a + 1)
+    if name == "L-2":
+        return laguerre(ell, a) + laguerre(ell - 1, a + 1) - laguerre(ell, a + 1)
+    if name == "L-3":
+        return ETA * laguerre(ell - 1, a + 2) \
+            - (a + 1) * laguerre(ell - 1, a + 1) + ell * laguerre(ell, a)
     if name == "J-1":
-        if ell < 1:
-            raise ValueError("identity needs degree >= 1")
         return jacobi(ell, a, b).derivative() \
             - Fraction(1, 2) * (ell + a + b + 1) * jacobi(ell - 1, a + 1, b + 1)
     if name == "J-2":
-        if ell < 1:
-            raise ValueError("identity needs degree >= 1")
         return 2 * (b + 1) * jacobi(ell, a - 1, b + 1) \
             + (ell + a + b + 1) * _ONE_PLUS * jacobi(ell - 1, a, b + 2) \
             - 2 * (ell + b + 1) * jacobi(ell, a, b)
     if name == "J-3":
-        if ell < 1:
-            raise ValueError("identity needs degree >= 1")
         return (ell + a) * jacobi(ell, a - 1, b + 1) - a * jacobi(ell, a, b) \
             - Fraction(1, 2) * (ell + a + b + 1) * Poly([-1, 1]) * jacobi(ell - 1, a + 1, b + 1)
     if name == "J-4":
-        if ell < 1:
-            raise ValueError("identity needs degree >= 1")
         return (ell + a) * _ONE_PLUS * jacobi(ell - 1, a, b + 1) \
             - b * _ONE_MINUS * jacobi(ell - 1, a + 1, b) \
             - 2 * ell * jacobi(ell, a, b - 1)
@@ -216,11 +201,6 @@ def identity_residual(name: str, ell: int, alpha, beta=None) -> Poly:
         return _ONE_PLUS * jacobi(ell, a, b).derivative() \
             - (ell + b) * jacobi(ell, a + 1, b - 1) + b * jacobi(ell, a, b)
     raise ValueError(f"unknown identity {name!r}")
-
-
-def verify_identity(name: str, ell: int, alpha, beta=None) -> bool:
-    """Exact boolean: does the named identity hold at these parameters?"""
-    return identity_residual(name, ell, alpha, beta).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +243,15 @@ class ZeroCountPrediction:
             raise AssertionError("zero count exceeded the degree")
 
 
+def _sign_test(n: int, a: Fraction, b: Fraction) -> Fraction:
+    """(-1)^n C(n+a, n) C(n+b, n), the binomial sign test of the Jacobi
+    zero-count theorems; a zero value is outside their hypotheses."""
+    sign_product = binomial(n + a, n) * binomial(n + b, n)
+    if sign_product == 0:
+        raise TheoremHypothesisError("theorem hypothesis violated: binomial sign test is zero")
+    return -sign_product if n % 2 else sign_product
+
+
 _POSITIVE_AXIS = Interval(Fraction(0), POS_INF)
 _OPEN_UNIT = Interval(Fraction(-1), Fraction(1))
 
@@ -297,15 +286,8 @@ def predict_zero_count(kind: str, n: int, alpha, beta=None) -> ZeroCountPredicti
         if beta is None:
             raise ValueError("jacobi prediction needs beta")
         b = rat(beta)
-        sign_product = binomial(n + a, n) * binomial(n + b, n)
-        if sign_product == 0:
-            raise TheoremHypothesisError(
-                "theorem hypothesis violated: binomial sign test is zero"
-            )
-        if n % 2:
-            sign_product = -sign_product
         X = klein_E(Fraction(1, 2) * (abs(2 * n + a + b + 1) - abs(a) - abs(b) + 1))
-        if sign_product > 0:
+        if _sign_test(n, a, b) > 0:
             count = 2 * ((X + 1) // 2)
         else:
             count = 2 * (X // 2) + 1
@@ -320,15 +302,8 @@ def nodeless_condition(ell: int, alpha, beta) -> bool:
         and (-1)^ell C(ell+alpha, ell) C(ell+beta, ell) > 0.
     """
     a, b = rat(alpha), rat(beta)
-    sign_product = binomial(ell + a, ell) * binomial(ell + b, ell)
-    if sign_product == 0:
-        raise TheoremHypothesisError(
-            "theorem hypothesis violated: binomial sign test is zero"
-        )
-    if ell % 2:
-        sign_product = -sign_product
-    bound = abs(2 * ell + a + b + 1) - abs(a) - abs(b) + 1
-    return bound <= 0 and sign_product > 0
+    positive = _sign_test(ell, a, b) > 0
+    return abs(2 * ell + a + b + 1) - abs(a) - abs(b) + 1 <= 0 and positive
 
 
 def count_zeros_exact(kind: str, n: int, alpha, beta=None) -> int:

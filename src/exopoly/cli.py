@@ -311,7 +311,7 @@ def spectrum(case_str, ell, alpha, beta, k, points, x_min, x_max, tol):
                 "x_max": rep.grid.x_max,
                 "points": rep.grid.points,
                 "coarse_points": rep.coarse.points,
-                "boundary": rep.grid.boundary,
+                "boundary": "dirichlet",
             },
             "levels": [
                 {
@@ -348,6 +348,8 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
         b = _parse_rational(beta, "beta")
         if kind == "jacobi" and b is None:
             _fail("jacobi query needs --beta", 1)
+        if kind == "laguerre" and b is not None:
+            _fail("laguerre query takes no --beta", 1)
         if ell < 0:
             _fail("--ell must be >= 0", 1)
         try:

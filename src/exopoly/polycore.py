@@ -2,12 +2,8 @@
 
 Dense univariate polynomials over arbitrary-precision rationals, stored as
 integer numerators over one common denominator so that arithmetic runs on
-Python ints; Sturm-chain root counting on (half-)open intervals, with chains
-built from integer pseudo-remainders; and quasi-polynomials of the form
-
-    e^(s*eta) * eta^a * (1-eta)^b * (1+eta)^c * B(eta)
-
-which stay closed under differentiation.  Everything here is pure and
+Python ints; and Sturm-chain root counting on (half-)open intervals, with
+chains built from integer pseudo-remainders.  Everything here is pure and
 immutable; no operation ever rounds.
 """
 
@@ -21,21 +17,14 @@ from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 __all__ = [
-    "Rational",
     "rat",
     "Poly",
     "ETA",
     "ONE",
     "Interval",
     "sturm_count",
-    "QuasiPoly",
-    "quasi_extract",
-    "IncompatiblePrefactorError",
     "IndeterminateRootCountError",
 ]
-
-#: Exact scalar type.  All symbolic algebra runs over it.
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -54,10 +43,6 @@ def _is_inf(x) -> bool:
 
 class IndeterminateRootCountError(ValueError):
     """Raised when a root count is requested for the zero polynomial."""
-
-
-class IncompatiblePrefactorError(ValueError):
-    """Raised when quasi-polynomial prefactors cannot be reconciled."""
 
 
 class Poly:
@@ -352,111 +337,3 @@ def sturm_count(p: Poly, iv: Interval) -> int:
     v_lo = _sign_variations(_chain_signs_at(chain, iv.lo))
     v_hi = _sign_variations(_chain_signs_at(chain, iv.hi))
     return (v_lo - v_hi) + endpoint_roots
-
-
-# ---------------------------------------------------------------------------
-# Quasi-polynomials
-# ---------------------------------------------------------------------------
-
-_ONE_MINUS = Poly([1, -1])
-_ONE_PLUS = Poly([1, 1])
-
-
-def _power_poly(base: Poly, k: int) -> Poly:
-    out = ONE
-    for _ in range(k):
-        out = out * base
-    return out
-
-
-@dataclass(frozen=True)
-class QuasiPoly:
-    """e^(s*eta) * eta^a * (1-eta)^b * (1+eta)^c times a Poly body.
-
-    Two quasi-polynomials add when their exponential coefficients match and
-    their power exponents differ by integers; the gaps are absorbed into the
-    bodies.  Differentiation lowers each power exponent by at most one.
-    """
-
-    s: Fraction
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    body: Poly
-
-    @property
-    def prefactor(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.s, self.a, self.b, self.c)
-
-    def times_poly(self, p: Poly) -> "QuasiPoly":
-        return QuasiPoly(self.s, self.a, self.b, self.c, self.body * p)
-
-    def scaled(self, k: RationalLike) -> "QuasiPoly":
-        return QuasiPoly(self.s, self.a, self.b, self.c, self.body * rat(k))
-
-    def __add__(self, other: "QuasiPoly") -> "QuasiPoly":
-        if self.s != other.s:
-            raise IncompatiblePrefactorError(
-                "incompatible prefactor: exponential coefficients differ"
-            )
-        exps = []
-        bodies = [self.body, other.body]
-        for base, x, y in (
-            (ETA, self.a, other.a),
-            (_ONE_MINUS, self.b, other.b),
-            (_ONE_PLUS, self.c, other.c),
-        ):
-            gap = x - y
-            if gap.denominator != 1:
-                raise IncompatiblePrefactorError(
-                    "incompatible prefactor: non-integer exponent gap"
-                )
-            exps.append(min(x, y))
-            k = 0 if x > y else 1  # only the body with the larger exponent absorbs the gap
-            bodies[k] = bodies[k] * _power_poly(base, int(abs(gap)))
-        return QuasiPoly(self.s, exps[0], exps[1], exps[2], bodies[0] + bodies[1])
-
-    def derivative(self) -> "QuasiPoly":
-        """Exact d/deta, distributing over the prefactor."""
-        out = QuasiPoly(self.s, self.a, self.b, self.c,
-                        self.body * self.s + self.body.derivative())
-        if self.a != 0:
-            out = out + QuasiPoly(self.s, self.a - 1, self.b, self.c,
-                                  self.body * self.a)
-        if self.b != 0:
-            out = out + QuasiPoly(self.s, self.a, self.b - 1, self.c,
-                                  self.body * (-self.b))
-        if self.c != 0:
-            out = out + QuasiPoly(self.s, self.a, self.b, self.c - 1,
-                                  self.body * self.c)
-        return out
-
-
-def quasi_extract(q: QuasiPoly, target) -> Poly:
-    """Return the Poly R with target_prefactor * R == q, exactly.
-
-    ``target`` is a QuasiPoly (body ignored) or an (s, a, b, c) tuple.  The
-    exponent gaps q - target must be nonnegative integers and the
-    exponential coefficients must match.
-    """
-    if isinstance(target, QuasiPoly):
-        ts, ta, tb, tc = target.prefactor
-    else:
-        ts, ta, tb, tc = (rat(v) for v in target)
-    if q.s != ts:
-        raise IncompatiblePrefactorError(
-            "incompatible prefactor: exponential coefficients differ"
-        )
-    out = q.body
-    for base, have, want in (
-        (ETA, q.a, ta),
-        (_ONE_MINUS, q.b, tb),
-        (_ONE_PLUS, q.c, tc),
-    ):
-        gap = have - want
-        if gap < 0 or gap.denominator != 1:
-            raise IncompatiblePrefactorError(
-                "incompatible prefactor: exponent gap not a nonnegative integer"
-            )
-        out = out * _power_poly(base, int(gap))
-    return out

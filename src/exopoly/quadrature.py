@@ -20,8 +20,6 @@ from .polycore import Interval, Poly
 from .systems import Array, XSystem, _horner, level_poly
 
 __all__ = [
-    "QuadRule",
-    "make_rule",
     "integrate",
     "QuadratureConvergenceError",
     "inner_product",
@@ -45,31 +43,20 @@ class QuadratureConvergenceError(RuntimeError):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    nodes: Array
-    weights: Array
-    domain: Interval
-    scheme: str
-
-
-def _tanh_sinh_raw(level: int, only_new: bool) -> tuple[Array, Array]:
+def _tanh_sinh_raw(level: int) -> tuple[Array, Array]:
     """Abscissa offsets and weights on (-1, 1) at step h = 2^-level.
 
     Returns (delta, w) where delta > 0 is the distance of the node from the
     nearer endpoint; the node pair is (-1 + delta, 1 - delta).  Computing the
     endpoint distance directly keeps full precision where the weight
-    singularities live.  ``only_new`` keeps odd multiples of h only (the
+    singularities live.  Above level 1 only odd multiples of h are kept (the
     nodes added when refining level-1 to level).
     """
     import numpy as np  # local: exact-only commands must not load numpy
     h = 2.0 ** (-level)
     u_max = 4.0
     j_max = int(u_max / h)
-    js = np.arange(1, j_max + 1)
-    if only_new and level > 0:
-        js = js[js % 2 == 1]
-    u = js * h
+    u = np.arange(1, j_max + 1, 1 if level == 1 else 2) * h
     z = 0.5 * math.pi * np.sinh(u)
     # 1 - tanh(z) = 2 / (e^(2z) + 1), cancellation-free
     delta = 2.0 / (np.exp(2 * z) + 1.0)
@@ -78,24 +65,24 @@ def _tanh_sinh_raw(level: int, only_new: bool) -> tuple[Array, Array]:
     return delta[keep], w[keep]
 
 
-def _ts_points(domain: Interval, level: int, only_new: bool):
+def _ts_points(domain: Interval, level: int):
     """Nodes/weights for one tanh-sinh refinement step on the domain.
 
-    With only_new=False this is the complete rule at step h = 2^-level;
-    with only_new=True only the nodes absent from the level-1 rule appear,
-    so S(level) = S(level-1)/2 + dot(new weights, new values).
+    Level 1 is the complete rule at step h = 1/2; above it only the nodes
+    absent from the level-1 rule appear, so
+    S(level) = S(level-1)/2 + dot(new weights, new values).
     """
     import numpy as np
     lo, hi = float(domain.lo), float(domain.hi)
     if math.isinf(lo):
-        raise ValueError("unsupported domain/scheme combination")
+        raise ValueError(f"tanh-sinh needs a finite lower bound, not the domain {domain}")
     h = 2.0 ** (-level)
-    delta, w = _tanh_sinh_raw(level, only_new)
+    delta, w = _tanh_sinh_raw(level)
     if math.isinf(hi):
         # t runs over (0, 1); eta = t/(1-t) maps onto (0, inf), shifted by lo
         d = 0.5 * delta  # distance of t from the nearer endpoint
         nodes_list, weights_list = [], []
-        if not only_new:
+        if level == 1:
             nodes_list.append(np.array([lo + 1.0]))  # t = 1/2
             weights_list.append(np.array([0.5 * (0.5 * math.pi) * h * 4.0]))
         eta_lo = d / (1.0 - d)           # t = d
@@ -113,33 +100,10 @@ def _ts_points(domain: Interval, level: int, only_new: bool):
     keep = (xs_lo > lo) & (xs_hi < hi)
     nodes = [xs_lo[keep], xs_hi[keep]]
     weights = [half * w[keep], half * w[keep]]
-    if not only_new:
+    if level == 1:
         nodes.append(np.array([0.5 * (hi + lo)]))
         weights.append(np.array([half * (0.5 * math.pi) * h]))
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def make_rule(domain: Interval, scheme: str, level: int) -> QuadRule:
-    """Build a quadrature rule on the domain.
-
-    The one scheme is tanh_sinh: the step 2^-level rule on a finite or
-    right-half-infinite interval, robust to integrable endpoint
-    singularities.
-    """
-    import numpy as np
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if scheme == "tanh_sinh":
-        # nodes introduced at step lv carry weights built with h = 2^-lv;
-        # rescale them to the final step 2^-level
-        parts = [_ts_points(domain, lv, only_new=(lv > 1)) for lv in range(1, level + 1)]
-        nodes = np.concatenate([p[0] for p in parts])
-        weights = np.concatenate(
-            [p[1] * 2.0 ** (lv - level) for lv, p in enumerate(parts, start=1)]
-        )
-        order = np.argsort(nodes)
-        return QuadRule(nodes[order], weights[order], domain, scheme)
-    raise ValueError("unsupported domain/scheme combination")
 
 
 def _refine(domain: Interval, block_sums, rtol: float, max_nodes: int, where):
@@ -155,7 +119,7 @@ def _refine(domain: Interval, block_sums, rtol: float, max_nodes: int, where):
     prev, n_nodes, level = None, 0, 1
     total = total_abs = 0.0
     while True:
-        nodes, weights = _ts_points(domain, level, only_new=(level > 1))
+        nodes, weights = _ts_points(domain, level)
         step = [block_sums(nodes[k:k + _BLOCK], weights[k:k + _BLOCK])
                 for k in range(0, len(nodes), _BLOCK)]
         total = 0.5 * total + sum(b[0] for b in step)

@@ -50,15 +50,12 @@ class GridSpec:
     x_min: float
     x_max: float
     points: int = DEFAULT_POINTS
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if self.points < 100:
             raise ValueError("need at least 100 grid points")
-        if self.boundary != "dirichlet":
-            raise ValueError("only dirichlet walls are supported")
 
     @property
     def h(self) -> float:
@@ -70,7 +67,7 @@ class GridSpec:
 
     def coarse(self) -> "GridSpec":
         """The same box with half as many cells (exactly when points + 1 is even)."""
-        return GridSpec(self.x_min, self.x_max, (self.points + 1) // 2 - 1, self.boundary)
+        return GridSpec(self.x_min, self.x_max, (self.points + 1) // 2 - 1)
 
 
 @dataclass(frozen=True)

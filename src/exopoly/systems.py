@@ -55,7 +55,6 @@ __all__ = [
     "xi_equation_residual",
     "potential_eval",
     "wavefunction_eval",
-    "weight_exponents",
 ]
 
 
@@ -238,8 +237,7 @@ def build_system(case: Case, params: Params) -> XSystem:
     notes: list[str] = []
 
     if case.is_laguerre:
-        if b is not None:
-            params = Params(ell, a, None)
+        _require(b is None, f"case {case.value} takes no beta")
         eta_dot2 = Poly([0, 4])
         eta_ddot = Poly([2])
         domain_eta = Interval(Fraction(0), POS_INF)
@@ -269,10 +267,7 @@ def build_system(case: Case, params: Params) -> XSystem:
             weight = WeightExponents(Fraction(-1), a + 1, Fraction(0), Fraction(0))
         xi_tilde_E = Fraction(4 * ell)
     else:
-        if b is None:
-            raise ParameterError(
-                f"parameter constraint violated: case {case.value} needs beta"
-            )
+        _require(b is not None, f"case {case.value} needs beta")
         eta_dot2 = Poly([4, 0, -4])
         eta_ddot = Poly([0, -4])
         domain_eta = Interval(Fraction(-1), Fraction(1))
@@ -336,21 +331,16 @@ def build_system(case: Case, params: Params) -> XSystem:
             f"degree-degenerate deforming function: deg xi = {xi.degree()} < ell = {ell}"
         )
 
-    if sturm_count(xi, domain_eta) != 0:
-        raise NodelessnessError("deforming function has physical-domain zero")
-    endpoints = (Fraction(0),) if case.is_laguerre else (Fraction(1), Fraction(-1))
-    for pt in endpoints:
-        if xi(pt) == 0:
-            raise NodelessnessError(
-                f"deforming function has physical-domain zero (endpoint eta={pt})"
-            )
-
     sys = XSystem(
         case=case, params=params, xi=xi, xi_tilde_E=xi_tilde_E, w0=prep,
         Q=Q, c1=c1, c2=c2, c2_sign=c2_sign, eta_dot2=eta_dot2, eta_ddot=eta_ddot,
         domain_x=domain_x, domain_eta=domain_eta, weight=weight,
         p_prefactor=p_prefactor, notes=tuple(notes),
     )
+    # a zero on a finite endpoint counts too: the domain is closed there for this count
+    closed = Interval(domain_eta.lo, domain_eta.hi, True, domain_eta.hi != POS_INF)
+    if sturm_count(xi, closed) != 0:
+        raise NodelessnessError(f"{sys.label}: deforming function has a zero in eta {closed}")
     _check_weight_consistency(sys)
     return sys
 
@@ -487,6 +477,8 @@ def shifted_form_poly(sys: XSystem, n: int) -> Poly:
 def level_poly(sys: XSystem, level: int) -> Poly:
     """Polynomial part of the level-th eigenfunction (level 0 of extj is the
     constant function 1)."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
     off = level_count_offset(sys)
     if off and level == 0:
         return Poly([1])
@@ -591,8 +583,3 @@ def wavefunction_eval(sys: XSystem, level: int, x):
     psi = value * _horner(P.float_coeffs(), eta) / _horner(sys.xi.float_coeffs(), eta)
     return psi if np.ndim(x) else float(psi[0])
 
-
-def weight_exponents(sys: XSystem) -> WeightExponents:
-    """Exponent tuple of the eta-space orthogonality weight over xi^2
-    (checked against the prepotential once, by build_system)."""
-    return sys.weight

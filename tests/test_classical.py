@@ -12,13 +12,13 @@ from exopoly.classical import (
     TheoremHypothesisError,
     binomial,
     count_zeros_exact,
+    identity_residual,
     jacobi,
     jacobi_is_degree_degenerate,
     klein_E,
     laguerre,
     nodeless_condition,
     predict_zero_count,
-    verify_identity,
 )
 from exopoly.polycore import ETA, ONE, Poly
 
@@ -219,10 +219,27 @@ def test_coefficientwise_self_check_catches_one_perturbed_coefficient(check, par
 
 
 def test_identity_spot_checks():
-    assert verify_identity("L-1", 3, F(1, 3))
-    assert verify_identity("J-7", 2, F(1, 2), F(-5, 2))
+    assert identity_residual("L-1", 3, F(1, 3)).is_zero
+    assert identity_residual("J-7", 2, F(1, 2), F(-5, 2)).is_zero
     for alpha in (F(0), F(5, 7), F(-13, 4)):
-        assert verify_identity("L-2", 1, alpha)
+        assert identity_residual("L-2", 1, alpha).is_zero
+
+
+def test_identity_argument_errors():
+    # a missing beta is reported before a degree below 1, and only the seven
+    # identities that reference degree ell-1 need ell >= 1
+    for name in IDENTITIES:
+        if name.startswith("J"):
+            with pytest.raises(ValueError, match="need beta"):
+                identity_residual(name, 0, F(1, 2))
+        if name in ("J-5", "J-6", "J-7"):
+            assert identity_residual(name, 0, F(1, 2), F(1, 3)).is_zero
+        else:
+            with pytest.raises(ValueError, match="degree >= 1"):
+                identity_residual(name, 0, F(1, 2), F(1, 3))
+    for name, beta in (("L-9", None), ("J-9", F(1, 3))):
+        with pytest.raises(ValueError, match="unknown identity"):
+            identity_residual(name, 0, F(1, 2), beta)
 
 
 def test_all_identities_random_sweep():
@@ -232,9 +249,9 @@ def test_all_identities_random_sweep():
         a, b = _random_rational(rng), _random_rational(rng)
         for name in IDENTITIES:
             if name.startswith("L"):
-                assert verify_identity(name, ell, a), (name, ell, a)
+                assert identity_residual(name, ell, a).is_zero, (name, ell, a)
             else:
-                assert verify_identity(name, ell, a, b), (name, ell, a, b)
+                assert identity_residual(name, ell, a, b).is_zero, (name, ell, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ def test_construct_validation_error(runner):
     assert "beta < -ell" in res.output
 
 
+def test_construct_laguerre_case_rejects_beta(runner):
+    res = run(runner, "construct", "--case", "l2", "--ell", "1", "--alpha", "-2", "--beta", "7")
+    assert res.exit_code == 1
+    assert res.output.strip() == "parameter constraint violated: case l2 takes no beta"
+
+
 def test_construct_bad_rational(runner):
     res = run(runner, "construct", "--case", "l2", "--ell", "1", "--alpha", "oops")
     assert res.exit_code == 1
@@ -201,6 +207,13 @@ def test_zeros_sweep_draws_the_suite_sampler(runner):
 def test_zeros_requires_arguments(runner):
     res = run(runner, "zeros")
     assert res.exit_code == 1
+
+
+def test_zeros_laguerre_query_rejects_beta(runner):
+    res = run(runner, "zeros", "--kind", "laguerre", "--ell", "3", "--alpha", "1/2",
+              "--beta", "1/2")
+    assert res.exit_code == 1
+    assert res.output.strip() == "laguerre query takes no --beta"
 
 
 def test_zeros_negative_sweep_rejected(runner):

@@ -12,18 +12,16 @@ import exopoly
 
 PUBLIC_NAMES = {
     "__version__",
-    "Rational", "rat", "Poly", "ETA", "Interval", "QuasiPoly", "quasi_extract",
-    "sturm_count", "IncompatiblePrefactorError", "IndeterminateRootCountError",
+    "rat", "Poly", "ETA", "Interval", "sturm_count", "IndeterminateRootCountError",
     "laguerre", "jacobi", "jacobi_is_degree_degenerate", "binomial",
-    "IDENTITIES", "verify_identity", "klein_E", "predict_zero_count",
+    "IDENTITIES", "klein_E", "predict_zero_count",
     "nodeless_condition", "ZeroCountPrediction", "TheoremHypothesisError",
     "Case", "Params", "XSystem", "Prepotential", "WeightExponents",
     "build_system", "energy", "family_energy", "exceptional_poly", "shifted_form_poly",
     "level_poly", "proportionality", "ode_residual", "potential_eval",
-    "wavefunction_eval", "weight_exponents",
+    "wavefunction_eval",
     "ParameterError", "NodelessnessError", "ConstructionError",
-    "QuadRule", "make_rule", "integrate", "inner_product", "gram",
-    "GramReport", "QuadratureConvergenceError",
+    "integrate", "inner_product", "gram", "GramReport", "QuadratureConvergenceError",
     "GridSpec", "Tridiag", "tridiag_from_potential", "discretize",
     "eigen_lowest", "richardson_lowest", "compare_spectrum", "default_grid", "SpectrumReport",
     "SUITES", "run_suite", "VerifyOutcome",
@@ -72,10 +70,9 @@ def test_exact_commands_load_no_numpy(args):
 def test_type_hints_resolve_without_numpy():
     res = _fresh(
         "import sys, typing\n"
-        "from exopoly.quadrature import QuadRule\n"
         "from exopoly.spectral import GridSpec, Tridiag\n"
         "from exopoly.systems import XSystem\n"
-        "for obj in (QuadRule, Tridiag, GridSpec.interior, XSystem.eta_of_x):\n"
+        "for obj in (Tridiag, GridSpec.interior, XSystem.eta_of_x):\n"
         "    typing.get_type_hints(obj)\n"
         "assert 'numpy' not in sys.modules")
     assert res.returncode == 0, res.stderr

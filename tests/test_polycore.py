@@ -1,4 +1,5 @@
-"""Exact polynomial core: arithmetic, Sturm counting, quasi-polynomials."""
+"""Exact polynomial core: arithmetic and Sturm counting; and the
+quasi-polynomial calculus that the test oracles run on."""
 
 from fractions import Fraction as F
 
@@ -10,17 +11,16 @@ from hypothesis import strategies as st
 
 from exopoly.polycore import (
     ETA,
-    IncompatiblePrefactorError,
     IndeterminateRootCountError,
     Interval,
     NEG_INF,
     POS_INF,
     Poly,
-    QuasiPoly,
-    quasi_extract,
     sturm_count,
 )
 from exopoly.systems import _horner
+
+from oracles import IncompatiblePrefactorError, QuasiPoly, quasi_extract
 
 
 def quasi(body, s=0, a=0, b=0, c=0):
@@ -315,7 +315,7 @@ def test_float_eval_matches_exact_within_1e12(p, x):
 
 
 # ---------------------------------------------------------------------------
-# quasi-polynomials
+# quasi-polynomials: the calculus of the substitution oracle in oracles.py
 # ---------------------------------------------------------------------------
 
 

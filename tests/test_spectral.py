@@ -80,8 +80,6 @@ def test_grid_validation():
         GridSpec(1.0, 0.5, 500)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 50)
-    with pytest.raises(ValueError):
-        GridSpec(0.0, 1.0, 500, boundary="periodic")
 
 
 def test_nonfinite_potential_names_the_node():

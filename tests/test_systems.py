@@ -25,7 +25,6 @@ from exopoly.systems import (
     potential_eval,
     proportionality,
     wavefunction_eval,
-    weight_exponents,
 )
 
 from oracles import extj_bilinear, j2_direct, substituted
@@ -84,16 +83,24 @@ def test_inadmissible_parameters_rejected():
         build_system(Case.EXTJ, Params(2, F(-3, 2), F(-6, 5)))  # sign test fails
     with pytest.raises(ParameterError):
         build_system(Case.J1, Params(1, F(0)))  # beta missing
+    for case, alpha in ((Case.L2, F(-2)), (Case.L1, F(1, 2))):
+        with pytest.raises(ParameterError) as err:
+            build_system(case, Params(1, alpha, F(7)))
+        assert str(err.value) == f"parameter constraint violated: case {case.value} takes no beta"
 
 
 def test_l1_nodelessness_is_authoritative():
     # printed bound admits alpha=-5/4 but xi = L_1^(-5/4)(-eta) has a root
     # at eta=1/4 inside the domain
-    with pytest.raises(NodelessnessError):
+    with pytest.raises(NodelessnessError) as err:
         build_system(Case.L1, Params(1, F(-5, 4)))
+    assert str(err.value) == ("case l1 (ell=1, alpha=-5/4, beta=None): "
+                              "deforming function has a zero in eta [0, inf)")
     # alpha=-1 puts the zero exactly at the eta=0 endpoint
-    with pytest.raises(NodelessnessError):
+    with pytest.raises(NodelessnessError) as err:
         build_system(Case.L1, Params(1, F(-1)))
+    assert str(err.value) == ("case l1 (ell=1, alpha=-1, beta=None): "
+                              "deforming function has a zero in eta [0, inf)")
     # and the flagged zone is annotated when it does pass (ell=0)
     sys = build_system(Case.L1, Params(0, F(-5, 4)))
     assert any("printed normalizability bound" in n for n in sys.notes)
@@ -151,6 +158,15 @@ def test_extj_level_indexing_and_positivity():
     levels = [energy(sys, k) for k in range(8)]
     assert all(e2 > e1 for e1, e2 in zip(levels, levels[1:]))
     assert all(e > 0 for e in levels[1:])
+
+
+def test_negative_level_is_rejected_as_a_level():
+    # on extj level -1 would be family index -2: the error names the level
+    for sys in (build_system(Case.EXTJ, Params(2, F(-5, 2), F(-5, 2))),
+                build_system(Case.L2, Params(1, F(-2)))):
+        for call in (level_poly, energy, lambda s, k: wavefunction_eval(s, k, 0.5)):
+            with pytest.raises(ValueError, match="^level must be nonnegative$"):
+                call(sys, -1)
 
 
 def test_spectra_increasing_and_positive_on_grid():
@@ -424,15 +440,15 @@ def test_wavefunctions_finite_on_grid():
 
 def test_weight_exponent_displays():
     a = F(-2)
-    w = weight_exponents(build_system(Case.L2, Params(1, a)))
+    w = build_system(Case.L2, Params(1, a)).weight
     assert (w.s, w.a) == (-1, -(a + 1))
     a = F(1, 2)
-    w = weight_exponents(build_system(Case.L1, Params(1, a)))
+    w = build_system(Case.L1, Params(1, a)).weight
     assert (w.s, w.a) == (-1, a + 1)
     a, b = F(1, 2), F(-2)
-    w = weight_exponents(build_system(Case.J1, Params(1, a, b)))
+    w = build_system(Case.J1, Params(1, a, b)).weight
     assert (w.b, w.c) == (a + 1, -(b + 1))
-    w = weight_exponents(build_system(Case.EXTJ, Params(2, F(-5, 2), F(-5, 2))))
+    w = build_system(Case.EXTJ, Params(2, F(-5, 2), F(-5, 2))).weight
     assert (w.b, w.c) == (F(3, 2), F(3, 2))
 
 
