@@ -51,7 +51,6 @@ from .systems import (
     NodelessnessError,
     ParameterError,
     Params,
-    Prepotential,
     WeightExponents,
     XSystem,
     build_system,
@@ -78,7 +77,7 @@ __all__ = [
     "IDENTITIES", "klein_E", "predict_zero_count",
     "nodeless_condition", "ZeroCountPrediction", "TheoremHypothesisError",
     # systems
-    "Case", "Params", "XSystem", "Prepotential", "WeightExponents",
+    "Case", "Params", "XSystem", "WeightExponents",
     "build_system", "energy", "family_energy", "exceptional_poly", "shifted_form_poly",
     "level_poly", "proportionality", "ode_residual", "potential_eval",
     "wavefunction_eval",

@@ -265,6 +265,8 @@ def predict_zero_count(kind: str, n: int, alpha, beta=None) -> ZeroCountPredicti
     """
     a = rat(alpha)
     if kind == "laguerre":
+        if beta is not None:
+            raise ValueError(f"a laguerre zero count takes no beta (got beta={beta})")
         if a.denominator == 1 and -n <= a <= -1:
             raise TheoremHypothesisError(
                 f"theorem hypothesis violated: alpha={a} is in {{-1,...,-{n}}}"
@@ -310,6 +312,8 @@ def count_zeros_exact(kind: str, n: int, alpha, beta=None) -> int:
     """Sturm-count oracle on the exact polynomial, matching the theorem's
     interval convention (positive axis / open (-1, 1))."""
     if kind == "laguerre":
+        if beta is not None:
+            raise ValueError(f"a laguerre zero count takes no beta (got beta={beta})")
         return sturm_count(laguerre(n, alpha), _POSITIVE_AXIS)
     if kind == "jacobi":
         return sturm_count(jacobi(n, alpha, beta), _OPEN_UNIT)

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _MAX_NODES = 2 ** 14
+_RTOL = 1e-12  # relative tolerance of each integral and each Gram entry
 _BLOCK = 2048  # nodes per evaluation block: bounds the Phi array
 _ETA_CAP = 1e6  # drop mapped nodes beyond this on semi-infinite domains
 
@@ -106,7 +107,7 @@ def _ts_points(domain: Interval, level: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _refine(domain: Interval, block_sums, rtol: float, max_nodes: int, where):
+def _refine(domain: Interval, block_sums, rtol: float, where):
     """The one adaptive tanh-sinh loop, for a scalar or an array of integrals.
 
     ``block_sums(nodes, weights)`` gives the weighted sums of the integrands
@@ -131,7 +132,7 @@ def _refine(domain: Interval, block_sums, rtol: float, max_nodes: int, where):
             done = (change <= rtol * scale) | ((scale == 0.0) & (change == 0.0))
             if done.all():
                 return total
-            if n_nodes >= max_nodes:
+            if n_nodes >= _MAX_NODES:
                 idx = np.unravel_index(np.argmin(done), done.shape)
                 raise QuadratureConvergenceError(
                     f"{where(idx)}integration non-convergence at requested tolerance",
@@ -141,12 +142,7 @@ def _refine(domain: Interval, block_sums, rtol: float, max_nodes: int, where):
         level += 1
 
 
-def integrate(
-    f: Callable[[Array], Array],
-    domain: Interval,
-    rtol: float = 1e-12,
-    max_nodes: int = _MAX_NODES,
-) -> float:
+def integrate(f: Callable[[Array], Array], domain: Interval, rtol: float = _RTOL) -> float:
     """Adaptive tanh-sinh integration of a vectorized integrand; raises
     QuadratureConvergenceError with the best estimate at the node cap."""
     import numpy as np
@@ -155,7 +151,7 @@ def integrate(
         vals = np.asarray(f(nodes), dtype=float)
         return np.dot(weights, vals), np.dot(weights, np.abs(vals))
 
-    return float(_refine(domain, block_sums, rtol, max_nodes, lambda idx: ""))
+    return float(_refine(domain, block_sums, rtol, lambda idx: ""))
 
 
 def _phi(sys: XSystem, polys: list[Poly]):
@@ -184,7 +180,7 @@ def _phi(sys: XSystem, polys: list[Poly]):
     return phi
 
 
-def inner_product(sys: XSystem, n: int, m: int, rtol: float = 1e-12) -> float:
+def inner_product(sys: XSystem, n: int, m: int, rtol: float = _RTOL) -> float:
     """<p_n, p_m> under the system's orthogonality weight (level-indexed)."""
     phi = _phi(sys, [level_poly(sys, n), level_poly(sys, m)])
     return integrate(lambda eta: phi(eta).prod(axis=0), sys.domain_eta, rtol=rtol)
@@ -197,7 +193,7 @@ class GramReport:
     max_offdiag: float
 
 
-def gram(sys: XSystem, N: int, rtol: float = 1e-12) -> GramReport:
+def gram(sys: XSystem, N: int) -> GramReport:
     """Normalized Gram matrix of the lowest N levels, on one shared rule.
 
     Entries g_nm = <p_n, p_m> / sqrt(<p_n, p_n> <p_m, p_m>); for the
@@ -215,7 +211,7 @@ def gram(sys: XSystem, N: int, rtol: float = 1e-12) -> GramReport:
         vw = v * weights
         return np.einsum("ik,jk->ij", vw, v), np.einsum("ik,jk->ij", np.abs(vw), np.abs(v))
 
-    raw = _refine(sys.domain_eta, block_sums, rtol, _MAX_NODES,
+    raw = _refine(sys.domain_eta, block_sums, _RTOL,
                   lambda idx: f"{sys.label}, pair ({idx[0]}, {idx[1]}): ")
     raw = np.triu(raw) + np.triu(raw, 1).T
     positive = np.diag(raw) > 0

@@ -1,11 +1,11 @@
 """The five rationally extended solvable systems.
 
 Each system lives on a sinusoidal coordinate (eta = x^2 on the half line, or
-eta = cos 2x on (0, pi/2)) and is specified by a polynomial deforming
-function xi(eta), a zeroth-order prepotential W0(x), and a family of
-eigenpolynomials.  The wave functions are e^W0 / xi times a prefactored
-polynomial, the potential follows from W0 and xi alone, and the energies are
-exact rationals.
+eta = cos 2x on (0, pi/2)).  It is stated by its case, its parameters, a
+polynomial deforming function xi(eta) and an eigenfunction prefactor; Q, the
+xi-equation coefficients, the potential and the orthogonality weight follow
+from the exponents of the case's prepotential W0.  The wave functions are
+e^W0 / xi times a prefactored polynomial; the energies are exact rationals.
 
 Cases
 -----
@@ -40,7 +40,6 @@ __all__ = [
     "ParameterError",
     "NodelessnessError",
     "ConstructionError",
-    "Prepotential",
     "WeightExponents",
     "XSystem",
     "build_system",
@@ -81,11 +80,13 @@ class Params:
     beta: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.ell < 0:
-            raise ParameterError("parameter constraint violated: ell must be >= 0")
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", rat(self.beta))
+        _require(type(self.ell) is int and self.ell >= 0,  # a bool is no degree either
+                 f"ell must be an integer >= 0, got {self.ell!r}")
+        for name in ("alpha",) if self.beta is None else ("alpha", "beta"):
+            try:
+                object.__setattr__(self, name, rat(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                _require(False, f"{name} must be a rational number, got {getattr(self, name)!r}")
 
 
 class ParameterError(ValueError):
@@ -101,40 +102,6 @@ class ConstructionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Prepotential:
-    """Zeroth-order prepotential W0.
-
-    laguerre_like: W0(x) = quad_sign * x^2/2 - (alpha + 1/2) ln x
-    jacobi_like:   W0(x) = -(alpha + 1/2) ln sin x - (beta + 1/2) ln cos x
-    """
-
-    kind: str
-    alpha: Fraction
-    beta: Optional[Fraction] = None
-    quad_sign: Optional[int] = None
-
-    def v0(self, x: Array) -> Array:
-        """The undeformed part W0'^2 + W0'' of the potential, over an array."""
-        a = self.alpha
-        g = float((a + Fraction(1, 2)) * (a + Fraction(3, 2)))
-        if self.kind == "laguerre_like":
-            return x * x + g / (x * x) - 2 * self.quad_sign * float(a)
-        b = self.beta
-        h = float((b + Fraction(1, 2)) * (b + Fraction(3, 2)))
-        s, c = _per_node(math.sin, x), _per_node(math.cos, x)
-        return g / (s * s) + h / (c * c) - float(a + b + 1) ** 2
-
-    def exp_w0_eta_exponents(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        """Exponents (s, a, b, c) of e^W0 as e^(s eta) eta^a (1-eta)^b (1+eta)^c."""
-        half = Fraction(1, 2)
-        if self.kind == "laguerre_like":
-            return (Fraction(self.quad_sign, 2), -(self.alpha + half) / 2,
-                    Fraction(0), Fraction(0))
-        return (Fraction(0), Fraction(0),
-                -(self.alpha + half) / 2, -(self.beta + half) / 2)
-
-
-@dataclass(frozen=True)
 class WeightExponents:
     """Orthogonality weight e^(s eta) eta^a (1-eta)^b (1+eta)^c / xi^2."""
 
@@ -144,27 +111,85 @@ class WeightExponents:
     c: Fraction
 
 
+_HALF = Fraction(1, 2)
+
+
 @dataclass(frozen=True)
 class XSystem:
+    """One system as its case states it: xi and the eigenfunction prefactor,
+    exponents (s, a, b, c) as in ``w0_exponents``.  The rest is derived on
+    first use, from the case and its prepotential W0."""
+
     case: Case
     params: Params
     xi: Poly
-    xi_tilde_E: Fraction
-    w0: Prepotential
-    Q: Poly
-    c1: Poly
-    c2: Poly
-    c2_sign: int
-    eta_dot2: Poly
-    eta_ddot: Poly
-    domain_x: Interval
-    domain_eta: Interval
-    weight: WeightExponents
     p_prefactor: tuple[Fraction, Fraction, Fraction, Fraction]
     notes: tuple[str, ...] = ()
 
     def eta_of_x(self, x: Array) -> Array:
         return x * x if self.case.is_laguerre else _per_node(math.cos, 2 * x)
+
+    @cached_property
+    def c2_sign(self) -> int:
+        return -1 if self.case is Case.L1 else 1
+
+    @cached_property
+    def xi_tilde_E(self) -> Fraction:
+        ell, a, b = self.params.ell, self.params.alpha, self.params.beta
+        return Fraction(4 * ell) if self.case.is_laguerre else 4 * ell * (ell + a + b + 1)
+
+    @cached_property
+    def eta_dot2(self) -> Poly:
+        """(d eta/dx)^2 in eta: 4 eta for eta = x^2, 4 (1 - eta^2) for eta = cos 2x."""
+        return Poly([0, 4]) if self.case.is_laguerre else Poly([4, 0, -4])
+
+    @cached_property
+    def eta_ddot(self) -> Poly:
+        """d^2 eta/dx^2 = (d/deta eta_dot^2) / 2."""
+        return self.eta_dot2.derivative() * _HALF
+
+    @cached_property
+    def domain_eta(self) -> Interval:
+        lo, hi = (Fraction(0), POS_INF) if self.case.is_laguerre else (Fraction(-1), Fraction(1))
+        return Interval(lo, hi)
+
+    @cached_property
+    def domain_x(self) -> Interval:
+        return Interval(Fraction(0), POS_INF if self.case.is_laguerre else math.pi / 2)
+
+    @cached_property
+    def w0_exponents(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """Exponents (s, a, b, c) of e^W0 as e^(s eta) eta^a (1-eta)^b (1+eta)^c:
+        W0 = c2_sign x^2/2 - (alpha + 1/2) ln x on the half line, and
+        W0 = -(alpha + 1/2) ln sin x - (beta + 1/2) ln cos x on (0, pi/2)."""
+        a, b = self.params.alpha, self.params.beta
+        if self.case.is_laguerre:
+            return (Fraction(self.c2_sign, 2), -(a + _HALF) / 2, Fraction(0), Fraction(0))
+        return (Fraction(0), Fraction(0), -(a + _HALF) / 2, -(b + _HALF) / 2)
+
+    @cached_property
+    def Q(self) -> Poly:
+        """eta_dot^2 dW0/deta, with dW0/deta = s + a/eta - b/(1-eta) + c/(1+eta)."""
+        s, a, b, c = self.w0_exponents
+        if self.case.is_laguerre:  # eta_dot^2 = 4 eta
+            return Poly([4 * a, 4 * s])
+        return Poly([4 * (c - b), -4 * (b + c)])  # eta_dot^2 = 4 (1 - eta) (1 + eta)
+
+    @cached_property
+    def c1(self) -> Poly:
+        return (self.eta_ddot - 2 * self.Q) * self.c2_sign
+
+    @cached_property
+    def c2(self) -> Poly:
+        return self.eta_dot2 * self.c2_sign
+
+    @cached_property
+    def weight(self) -> WeightExponents:
+        """prefactor^2 e^(2 W0) / |eta_dot|, over xi^2: |eta_dot| is 2 sqrt(eta)
+        on the half line and 2 sqrt(1-eta) sqrt(1+eta) on (0, pi/2)."""
+        half = (0, _HALF, 0, 0) if self.case.is_laguerre else (0, 0, _HALF, _HALF)
+        return WeightExponents(*(2 * w + 2 * p - h for w, p, h
+                                 in zip(self.w0_exponents, self.p_prefactor, half)))
 
     @cached_property
     def _family(self) -> dict[int, Poly]:
@@ -211,9 +236,6 @@ class XSystem:
 # construction
 # ---------------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParameterError(f"parameter constraint violated: {message}")
@@ -238,51 +260,30 @@ def build_system(case: Case, params: Params) -> XSystem:
 
     if case.is_laguerre:
         _require(b is None, f"case {case.value} takes no beta")
-        eta_dot2 = Poly([0, 4])
-        eta_ddot = Poly([2])
-        domain_eta = Interval(Fraction(0), POS_INF)
-        domain_x = Interval(Fraction(0), POS_INF)
         if case is Case.L2:
             _require(a < -ell, f"alpha < -ell (case l2; got alpha={a}, ell={ell})")
-            c2_sign = 1
-            Q = Poly([-2 * a - 1, 2])
             xi = laguerre(ell, a)
-            prep = Prepotential("laguerre_like", a, quad_sign=+1)
             p_prefactor = (Fraction(-1), Fraction(0), Fraction(0), Fraction(0))
-            weight = WeightExponents(Fraction(-1), -(a + 1), Fraction(0), Fraction(0))
         else:  # L1
-            _require(a > Fraction(-3, 2),
-                     f"alpha > -3/2 (case l1; got alpha={a})")
+            _require(a > Fraction(-3, 2), f"alpha > -3/2 (case l1; got alpha={a})")
             if a <= -1:
                 notes.append(
                     "alpha in (-3/2, -1]: the printed normalizability bound admits "
                     "this zone but nodelessness does not follow from it; admission "
                     "rests on the exact zero-count check"
                 )
-            c2_sign = -1
-            Q = Poly([-2 * a - 1, -2])
             xi = laguerre(ell, a).compose_neg()
-            prep = Prepotential("laguerre_like", a, quad_sign=-1)
             p_prefactor = (Fraction(0), a + 1, Fraction(0), Fraction(0))
-            weight = WeightExponents(Fraction(-1), a + 1, Fraction(0), Fraction(0))
-        xi_tilde_E = Fraction(4 * ell)
     else:
         _require(b is not None, f"case {case.value} needs beta")
-        eta_dot2 = Poly([4, 0, -4])
-        eta_ddot = Poly([0, -4])
-        domain_eta = Interval(Fraction(-1), Fraction(1))
-        domain_x = Interval(Fraction(0), math.pi / 2)
-        c2_sign = 1
         if case is Case.J1:
             _require(a > -_HALF, f"alpha > -1/2 (case j1; got alpha={a})")
             _require(b < -ell, f"beta < -ell (case j1; got beta={b}, ell={ell})")
             p_prefactor = (Fraction(0), Fraction(0), a + 1, Fraction(0))
-            weight = WeightExponents(Fraction(0), Fraction(0), a + 1, -(b + 1))
         elif case is Case.J2:
             _require(b > -_HALF, f"beta > -1/2 (case j2; got beta={b})")
             _require(a < -ell, f"alpha < -ell (case j2; got alpha={a}, ell={ell})")
             p_prefactor = (Fraction(0), Fraction(0), Fraction(0), b + 1)
-            weight = WeightExponents(Fraction(0), Fraction(0), -(a + 1), b + 1)
         else:  # EXTJ
             _require(a < -_HALF, f"alpha < -1/2 (case extj; got alpha={a})")
             _require(b < -_HALF, f"beta < -1/2 (case extj; got beta={b})")
@@ -291,76 +292,25 @@ def build_system(case: Case, params: Params) -> XSystem:
             try:
                 ok = nodeless_condition(ell, a, b)
             except TheoremHypothesisError as exc:
-                raise ParameterError(
-                    f"parameter constraint violated: {exc}"
-                ) from exc
+                raise ParameterError(f"parameter constraint violated: {exc}") from exc
             _require(ok, f"nodelessness condition fails (case extj; alpha={a}, beta={b}, ell={ell})")
             p_prefactor = (Fraction(0),) * 4
-            weight = WeightExponents(Fraction(0), Fraction(0), -(a + 1), -(b + 1))
-        Q = Poly([2 * (a - b), 2 * (a + b + 1)])
         xi = jacobi(ell, a, b)
-        prep = Prepotential("jacobi_like", a, beta=b)
-        xi_tilde_E = Fraction(4) * ell * (ell + a + b + 1)
-
-    c1 = (eta_ddot - 2 * Q) * c2_sign
-    c2 = eta_dot2 * c2_sign
-
-    # the xi-equation must hold as an exact polynomial identity
-    if not xi_equation_residual(c2, c1, xi, xi_tilde_E).is_zero:
-        raise ConstructionError(
-            f"deforming-function equation violated for case {case.value}"
-        )
-
-    # W0 really is the integral of Q / eta_dot^2: exactly, eta_dot^2 * dW0/deta == Q
-    sexp, aexp, bexp, cexp = prep.exp_w0_eta_exponents()
-    dW0 = (
-        sexp * eta_dot2 + aexp * Poly([4])  # 4*eta * (a/eta) = 4a
-        if case.is_laguerre
-        else bexp * (-1) * Poly([4, 4]) + cexp * Poly([4, -4])
-    )
-    # laguerre: d/deta [s eta + a ln eta] * 4 eta = 4 s eta + 4 a
-    # jacobi:   d/deta [b ln(1-eta) + c ln(1+eta)] * 4 (1-eta^2)
-    #           = -4 b (1+eta) + 4 c (1-eta)
-    if dW0 != Q:
-        raise ConstructionError(
-            f"prepotential does not integrate the coordinate flow for case {case.value}"
-        )
 
     if xi.degree() < ell:
         notes.append(
             f"degree-degenerate deforming function: deg xi = {xi.degree()} < ell = {ell}"
         )
 
-    sys = XSystem(
-        case=case, params=params, xi=xi, xi_tilde_E=xi_tilde_E, w0=prep,
-        Q=Q, c1=c1, c2=c2, c2_sign=c2_sign, eta_dot2=eta_dot2, eta_ddot=eta_ddot,
-        domain_x=domain_x, domain_eta=domain_eta, weight=weight,
-        p_prefactor=p_prefactor, notes=tuple(notes),
-    )
+    sys = XSystem(case=case, params=params, xi=xi, p_prefactor=p_prefactor, notes=tuple(notes))
+    if not xi_equation_residual(sys.c2, sys.c1, xi, sys.xi_tilde_E).is_zero:
+        raise ConstructionError(f"deforming-function equation violated for case {case.value}")
     # a zero on a finite endpoint counts too: the domain is closed there for this count
-    closed = Interval(domain_eta.lo, domain_eta.hi, True, domain_eta.hi != POS_INF)
+    dom = sys.domain_eta
+    closed = Interval(dom.lo, dom.hi, True, dom.hi != POS_INF)
     if sturm_count(xi, closed) != 0:
         raise NodelessnessError(f"{sys.label}: deforming function has a zero in eta {closed}")
-    _check_weight_consistency(sys)
     return sys
-
-
-def _check_weight_consistency(sys: XSystem) -> None:
-    # weight must equal p_prefactor^2 * e^(2 W0) / |eta_dot| over xi^2
-    s, a, b, c = sys.w0.exp_w0_eta_exponents()
-    s, a, b, c = 2 * s, 2 * a, 2 * b, 2 * c
-    if sys.case.is_laguerre:
-        a -= _HALF  # |eta_dot| = 2 sqrt(eta)
-    else:
-        b -= _HALF  # |eta_dot| = 2 sqrt(1-eta) sqrt(1+eta)
-        c -= _HALF
-    ps, pa, pb, pc = sys.p_prefactor
-    got = (s + 2 * ps, a + 2 * pa, b + 2 * pb, c + 2 * pc)
-    want = (sys.weight.s, sys.weight.a, sys.weight.b, sys.weight.c)
-    if got != want:
-        raise ConstructionError(
-            f"orthogonality weight inconsistent with prepotential for case {sys.case.value}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +412,13 @@ def shifted_form_poly(sys: XSystem, n: int) -> Poly:
     if sys.case is Case.L1:
         U = laguerre(n, a)
         return U * laguerre(ell, a + 1).compose_neg() - U.derivative() * sys.xi
-    if sys.case is Case.J1:
+    if sys.case in (Case.J1, Case.J2):  # j2 is j1 mirrored, as in exceptional_poly
+        if sys.case is Case.J2:
+            a, b = b, a
         U = jacobi(n, a, -b)
-        return (ell + b) * U * jacobi(ell, a + 1, b - 1) \
-            - Poly([1, 1]) * U.derivative() * sys.xi
-    if sys.case is Case.J2:
-        U = jacobi(n, b, -a)
-        mirrored = (ell + a) * U * jacobi(ell, b + 1, a - 1) \
-            - Poly([1, 1]) * U.derivative() * jacobi(ell, b, a)
-        return mirrored.compose_neg()
+        form = (ell + b) * U * jacobi(ell, a + 1, b - 1) \
+            - Poly([1, 1]) * U.derivative() * jacobi(ell, a, b)
+        return form if sys.case is Case.J1 else form.compose_neg()
     raise ValueError("extended Jacobi polynomials have no separate shifted form")
 
 
@@ -546,6 +494,18 @@ def _interior(sys: XSystem, x) -> Array:
     return xs
 
 
+def _v0(sys: XSystem, x: Array) -> Array:
+    """The undeformed part W0'^2 + W0'' of the potential, over an array."""
+    a = sys.params.alpha
+    g = float((a + _HALF) * (a + Fraction(3, 2)))
+    if sys.case.is_laguerre:
+        return x * x + g / (x * x) - 2 * sys.c2_sign * float(a)
+    b = sys.params.beta
+    h = float((b + _HALF) * (b + Fraction(3, 2)))
+    s, c = _per_node(math.sin, x), _per_node(math.cos, x)
+    return g / (s * s) + h / (c * c) - float(a + b + 1) ** 2
+
+
 def potential_eval(sys: XSystem, x):
     """V(x) from the prepotential and deforming function; x is a float or a
     1-d array of points, and the result takes the same form."""
@@ -560,7 +520,7 @@ def potential_eval(sys: XSystem, x):
     # a node too near a wall gives inf or nan, silently: tridiag_from_potential names it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = dxi / xi
-        v = sys.w0.v0(xs) + r * (2 * dot2 * r - (2 * q + ddot) + sgn * c1) + sgn * float(sys.xi_tilde_E)
+        v = _v0(sys, xs) + r * (2 * dot2 * r - (2 * q + ddot) + sgn * c1) + sgn * float(sys.xi_tilde_E)
     return v if np.ndim(x) else float(v[0])
 
 
@@ -570,14 +530,13 @@ def wavefunction_eval(sys: XSystem, level: int, x):
     import numpy as np
     xs = _interior(sys, x)
     P = level_poly(sys, level)
-    ps, pa, pb, pc = sys.p_prefactor
-    ws, wa, wb, wc = sys.w0.exp_w0_eta_exponents()
+    s, a, b, c = (w + p for w, p in zip(sys.w0_exponents, sys.p_prefactor))  # e^W0 * prefactor
     if sys.case.is_laguerre:
-        exp_coeff = float(ws + ps)       # coefficient of eta = x^2 in the exponent
-        x_power = float(2 * (wa + pa))   # eta^k = x^(2k)
+        exp_coeff = float(s)       # coefficient of eta = x^2 in the exponent
+        x_power = float(2 * a)     # eta^k = x^(2k)
         value = _per_node(lambda t: math.exp(exp_coeff * (t * t)) * t ** x_power, xs)
     else:  # 1 - eta = 2 sin^2 x, 1 + eta = 2 cos^2 x
-        u, v = float(wb + pb), float(wc + pc)
+        u, v = float(b), float(c)
         value = _per_node(lambda t: (2 * math.sin(t) ** 2) ** u * (2 * math.cos(t) ** 2) ** v, xs)
     eta = sys.eta_of_x(xs)
     psi = value * _horner(P.float_coeffs(), eta) / _horner(sys.xi.float_coeffs(), eta)

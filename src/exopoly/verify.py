@@ -4,7 +4,8 @@ Each suite returns a machine-readable outcome record.  The grids below are
 the canonical admissible points used everywhere (library tests and the
 command-line verifier); they avoid parameter sets where the deforming
 function is degree-degenerate, which are legal to build but exempt from the
-degree laws.
+degree laws.  Each suite runs one fixed grid: its sizes, seeds and
+tolerances are the constants below.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .classical import (
 )
 from .polycore import ETA, Interval, Poly, sturm_count
 from .quadrature import gram
-from .spectral import DEFAULT_POINTS, MIN_POINTS, compare_spectrum, default_grid
+from .spectral import compare_spectrum, default_grid
 from .systems import (
     Case,
     Params,
@@ -67,6 +68,15 @@ class VerifyOutcome:
     worst_defect: float
     elapsed_s: float
     details: list[str] = field(default_factory=list)
+
+
+# the suites' fixed settings
+_IDENTITY_DRAWS, _IDENTITY_MAX_DEGREE, _IDENTITY_SEED = 20, 10, 1
+_XI_ELLS = (0, 1, 2, 3)  # the xi-equation also holds at ell = 0
+_ELLS, _N_MAX = (1, 2, 3), 5  # family members 0..N_MAX at each ell
+_ZERO_COUNT_POINTS, _ZERO_COUNT_SEED = 200, 7
+_ORTHO_LEVELS, _ORTHO_TOL = 8, 1e-10
+_SPECTRUM_LEVELS, _SPECTRUM_TOL = 5, 1e-3
 
 
 def _l2_alphas(ell: int) -> list[Fraction]:
@@ -152,12 +162,12 @@ def _suite(name: str, checks: Iterable[tuple[str, bool, float]]) -> VerifyOutcom
                          time.monotonic() - t0, details[:10])
 
 
-def run_identity_suite(draws: int = 20, max_degree: int = 10, seed: int = 1) -> VerifyOutcome:
+def run_identity_suite() -> VerifyOutcome:
     """All derivative/contiguity identities, exact, over random parameters."""
     def checks():
-        rng = random.Random(seed)
-        for _ in range(draws):
-            ell = rng.randint(1, max_degree)
+        rng = random.Random(_IDENTITY_SEED)
+        for _ in range(_IDENTITY_DRAWS):
+            ell = rng.randint(1, _IDENTITY_MAX_DEGREE)
             a = _random_rational(rng, -8, 8)
             b = _random_rational(rng, -8, 8)
             for name in IDENTITIES:
@@ -166,10 +176,10 @@ def run_identity_suite(draws: int = 20, max_degree: int = 10, seed: int = 1) -> 
     return _suite("identities", checks())
 
 
-def run_xi_equation_suite(ells=(0, 1, 2, 3)) -> VerifyOutcome:
+def run_xi_equation_suite() -> VerifyOutcome:
     """The deforming-function equation, exact, for every case and degree."""
     def checks():
-        for sys in grid_systems(ells):
+        for sys in grid_systems(_XI_ELLS):
             ok = xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
             yield f"xi-equation fails: {sys.case.value} {sys.params}", ok, float(not ok)
     return _suite("xi-equation", checks())
@@ -189,9 +199,7 @@ def _mutated_poly(sys: XSystem, n: int, mutant: Optional[str]) -> Optional[Poly]
     return None
 
 
-def run_ode_residual_suite(
-    ells=(1, 2, 3), n_max: int = 5, mutant: Optional[str] = None
-) -> VerifyOutcome:
+def run_ode_residual_suite(mutant: Optional[str] = None) -> VerifyOutcome:
     """Exact eigen-equation residuals across the grid.
 
     ``mutant`` (one of ``MUTANTS``) injects a deliberate defect to
@@ -201,8 +209,8 @@ def run_ode_residual_suite(
         raise ValueError(f"unknown mutant {mutant!r}; have {list(MUTANTS)}")
 
     def checks():
-        for sys in grid_systems(ells):
-            for n in range(n_max + 1):
+        for sys in grid_systems(_ELLS):
+            for n in range(_N_MAX + 1):
                 ok = ode_residual(sys, n, _mutated_poly(sys, n, mutant)).is_zero
                 yield (f"residual nonzero: {sys.case.value} ell={sys.params.ell} "
                        f"alpha={sys.params.alpha} beta={sys.params.beta} n={n}",
@@ -210,13 +218,13 @@ def run_ode_residual_suite(
     return _suite("ode-residual", checks())
 
 
-def run_shifted_form_suite(ells=(1, 2, 3), n_max: int = 5) -> VerifyOutcome:
+def run_shifted_form_suite() -> VerifyOutcome:
     """Exact proportionality between the two bilinear forms (nonzero constant)."""
     def checks():
-        for sys in grid_systems(ells):
+        for sys in grid_systems(_ELLS):
             if sys.case is Case.EXTJ:
                 continue
-            for n in range(n_max + 1):
+            for n in range(_N_MAX + 1):
                 why = "zero constant"
                 try:
                     ok = proportionality(exceptional_poly(sys, n), shifted_form_poly(sys, n)) != 0
@@ -227,15 +235,15 @@ def run_shifted_form_suite(ells=(1, 2, 3), n_max: int = 5) -> VerifyOutcome:
     return _suite("shifted-form", checks())
 
 
-def run_degree_node_suite(ells=(1, 2, 3), n_max: int = 5) -> VerifyOutcome:
+def run_degree_node_suite() -> VerifyOutcome:
     """deg P = ell+n (exceptional) or ell+n+1 with exactly n+1 interior
     roots (extended Jacobi), exact via Sturm counting."""
     unit = Interval(Fraction(-1), Fraction(1))
 
     def checks():
-        for sys in grid_systems(ells):
+        for sys in grid_systems(_ELLS):
             ell = sys.params.ell
-            for n in range(n_max + 1):
+            for n in range(_N_MAX + 1):
                 P = exceptional_poly(sys, n)
                 if sys.case is Case.EXTJ:
                     ok = P.degree() == ell + n + 1 and sturm_count(P, unit) == n + 1
@@ -270,42 +278,39 @@ def zero_count_draws(seed: int) -> Iterator[tuple[str, int, Fraction, Optional[F
                 yield kind, n, a, b
 
 
-def run_zero_count_suite(points: int = 200, seed: int = 7) -> VerifyOutcome:
+def run_zero_count_suite() -> VerifyOutcome:
     """Classical zero-count predictions vs exact Sturm counts on random
     admissible parameters; the ambiguous middle branch is oracle-only and
     therefore excluded here."""
-    if points < 0:
-        raise ValueError("points must be >= 0")
     def checks():
-        for kind, n, a, b in zero_count_draws(seed):
+        for kind, n, a, b in zero_count_draws(_ZERO_COUNT_SEED):
             pred = predict_zero_count(kind, n, a, b)
             if not pred.oracle_resolved:
                 exact = count_zeros_exact(kind, n, a, b)
                 ok = pred.count == exact
                 yield (f"{kind} n={n} alpha={a}: predicted {pred.count}, exact {exact}",
                        ok, float(not ok))
-    return _suite("zero-count", islice(checks(), points))
+    return _suite("zero-count", islice(checks(), _ZERO_COUNT_POINTS))
 
 
-def run_ortho_suite(levels: int = 8, tol: float = 1e-10) -> VerifyOutcome:
-    """Normalized off-diagonal Gram entries below tol for every case."""
+def run_ortho_suite() -> VerifyOutcome:
+    """Normalized off-diagonal Gram entries below tolerance for every case."""
     def checks():
         for case, params in REPRESENTATIVE.items():
-            worst = gram(build_system(case, params), levels).max_offdiag
+            worst = gram(build_system(case, params), _ORTHO_LEVELS).max_offdiag
             # fails on >= tol, as `exopoly ortho` and `exopoly spectrum` do
-            yield f"{case.value}: max off-diagonal {worst:.3e}", not worst >= tol, worst
+            yield f"{case.value}: max off-diagonal {worst:.3e}", not worst >= _ORTHO_TOL, worst
     return _suite("orthogonality", checks())
 
 
-def run_spectrum_suite(k: int = 5, tol: float = 1e-3, points: int = DEFAULT_POINTS) -> VerifyOutcome:
+def run_spectrum_suite() -> VerifyOutcome:
     """Finite-difference spectra against the closed forms for every case."""
-    if points < MIN_POINTS:
-        raise ValueError(f"the spectrum suite needs a grid of at least {MIN_POINTS} points")
     def checks():
         for case, params in REPRESENTATIVE.items():
             sys = build_system(case, params)
-            worst = compare_spectrum(sys, k, default_grid(sys, points)).max_error
-            yield f"{case.value}: max eigenvalue error {worst:.3e}", not worst >= tol, worst
+            worst = compare_spectrum(sys, _SPECTRUM_LEVELS, default_grid(sys)).max_error
+            ok = not worst >= _SPECTRUM_TOL
+            yield f"{case.value}: max eigenvalue error {worst:.3e}", ok, worst
     return _suite("spectrum", checks())
 
 
@@ -321,7 +326,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> VerifyOutcome:
+def run_suite(name: str, mutant: Optional[str] = None) -> VerifyOutcome:
+    """Run one suite on its fixed grid; ``mutant`` (one of ``MUTANTS``) is a
+    defect injected into the ode-residual suite, the only one that takes it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    return SUITES[name](**kwargs)
+    if mutant is not None and name != "ode-residual":
+        raise ValueError(f"only the ode-residual suite takes a mutant, not {name!r}")
+    return SUITES[name]() if mutant is None else run_ode_residual_suite(mutant)

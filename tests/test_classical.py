@@ -277,6 +277,17 @@ def test_laguerre_zero_count_branches():
         predict_zero_count("laguerre", 3, -2)
 
 
+def test_laguerre_prediction_rejects_beta():
+    # the beta used to be dropped silently
+    with pytest.raises(ValueError, match="laguerre zero count takes no beta"):
+        predict_zero_count("laguerre", 3, F(1, 2), F(2))
+
+
+def test_laguerre_exact_count_rejects_beta():
+    with pytest.raises(ValueError, match="laguerre zero count takes no beta"):
+        count_zeros_exact("laguerre", 3, F(1, 2), F(2))
+
+
 def test_laguerre_middle_branch_is_oracle_resolved():
     pred = predict_zero_count("laguerre", 2, F(-3, 2))
     assert pred.oracle_resolved and pred.branch == "laguerre_middle_oracle"

@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     "laguerre", "jacobi", "jacobi_is_degree_degenerate", "binomial",
     "IDENTITIES", "klein_E", "predict_zero_count",
     "nodeless_condition", "ZeroCountPrediction", "TheoremHypothesisError",
-    "Case", "Params", "XSystem", "Prepotential", "WeightExponents",
+    "Case", "Params", "XSystem", "WeightExponents",
     "build_system", "energy", "family_energy", "exceptional_poly", "shifted_form_poly",
     "level_poly", "proportionality", "ode_residual", "potential_eval",
     "wavefunction_eval",

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exopoly.classical import laguerre
 from exopoly.polycore import Interval, ONE, POS_INF, Poly, sturm_count
@@ -26,6 +28,7 @@ from exopoly.systems import (
     proportionality,
     wavefunction_eval,
 )
+from exopoly.verify import REPRESENTATIVE
 
 from oracles import extj_bilinear, j2_direct, substituted
 
@@ -87,6 +90,48 @@ def test_inadmissible_parameters_rejected():
         with pytest.raises(ParameterError) as err:
             build_system(case, Params(1, alpha, F(7)))
         assert str(err.value) == f"parameter constraint violated: case {case.value} takes no beta"
+
+
+@pytest.mark.parametrize("ell", [F(3, 2), 1.5, 2.0, "2", True, False, None])
+def test_non_integer_degree_rejected(ell):
+    with pytest.raises(ParameterError) as err:
+        Params(ell, -3)
+    assert str(err.value) == ("parameter constraint violated: ell must be an integer >= 0, "
+                              f"got {ell!r}")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", "abc"), ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", "1/0"),
+    ("beta", float("-inf")), ("beta", "x/2"), ("alpha", None),
+])
+def test_unreadable_rational_rejected(field, value):
+    kwargs = {"alpha": F(1, 2), "beta": F(-2), field: value}
+    with pytest.raises(ParameterError) as err:
+        Params(1, **kwargs)
+    assert str(err.value) == (f"parameter constraint violated: {field} must be a rational "
+                              f"number, got {value!r}")
+
+
+_NUMBERS = st.one_of(
+    st.integers(-12, 12), st.booleans(), st.floats(), st.fractions(-12, 12, max_denominator=8),
+    st.text("0123456789-+/. x", max_size=6),
+)
+
+
+@given(case=st.sampled_from(Case),
+       # half the draws give ell an int, the other half another type
+       ell=st.booleans().flatmap(lambda integer: st.integers(0, 6) if integer else st.one_of(
+           st.booleans(), st.floats(0, 6), st.fractions(0, 6, max_denominator=4),
+           st.integers(0, 6).map(str))),
+       alpha=_NUMBERS, beta=st.none() | _NUMBERS)
+@settings(max_examples=300, deadline=None)
+def test_build_system_returns_or_rejects(case, ell, alpha, beta):
+    # a system, or an admissibility or nodelessness error: nothing else
+    try:
+        sys = build_system(case, Params(ell, alpha, beta))
+    except (ParameterError, NodelessnessError):
+        return
+    assert sys.params.ell == ell and isinstance(sys.params.alpha, F)
 
 
 def test_l1_nodelessness_is_authoritative():
@@ -438,18 +483,34 @@ def test_wavefunctions_finite_on_grid():
                 assert math.isfinite(wavefunction_eval(sys, k, x))
 
 
+# each case's c2_sign, Q, xi_tilde_E and weight exponents (s, a, b, c) in closed
+# form, stated apart from the W0 exponents and prefactor that XSystem derives them from
+CASE_LITERALS = {
+    Case.L2: lambda ell, a, b: (1, [-2 * a - 1, 2], 4 * ell, (-1, -(a + 1), 0, 0)),
+    Case.L1: lambda ell, a, b: (-1, [-2 * a - 1, -2], 4 * ell, (-1, a + 1, 0, 0)),
+    Case.J1: lambda ell, a, b: (1, [2 * (a - b), 2 * (a + b + 1)], 4 * ell * (ell + a + b + 1),
+                                (0, 0, a + 1, -(b + 1))),
+    Case.J2: lambda ell, a, b: (1, [2 * (a - b), 2 * (a + b + 1)], 4 * ell * (ell + a + b + 1),
+                                (0, 0, -(a + 1), b + 1)),
+    Case.EXTJ: lambda ell, a, b: (1, [2 * (a - b), 2 * (a + b + 1)], 4 * ell * (ell + a + b + 1),
+                                  (0, 0, -(a + 1), -(b + 1))),
+}
+
+
 def test_weight_exponent_displays():
-    a = F(-2)
-    w = build_system(Case.L2, Params(1, a)).weight
-    assert (w.s, w.a) == (-1, -(a + 1))
-    a = F(1, 2)
-    w = build_system(Case.L1, Params(1, a)).weight
-    assert (w.s, w.a) == (-1, a + 1)
-    a, b = F(1, 2), F(-2)
-    w = build_system(Case.J1, Params(1, a, b)).weight
-    assert (w.b, w.c) == (a + 1, -(b + 1))
-    w = build_system(Case.EXTJ, Params(2, F(-5, 2), F(-5, 2))).weight
-    assert (w.b, w.c) == (F(3, 2), F(3, 2))
+    for case, params in REPRESENTATIVE.items():
+        sys = build_system(case, params)
+        sign, Q, xi_tilde_E, weight = CASE_LITERALS[case](params.ell, params.alpha, params.beta)
+        eta_dot2, eta_ddot = ((Poly([0, 4]), Poly([2])) if case.is_laguerre
+                              else (Poly([4, 0, -4]), Poly([0, -4])))
+        assert (sys.eta_dot2, sys.eta_ddot) == (eta_dot2, eta_ddot), case
+        assert sys.c2_sign == sign, case
+        assert sys.Q == Poly(Q), case
+        assert sys.c1 == (eta_ddot - 2 * Poly(Q)) * sign, case
+        assert sys.c2 == eta_dot2 * sign, case
+        assert sys.xi_tilde_E == xi_tilde_E, case
+        w = sys.weight
+        assert (w.s, w.a, w.b, w.c) == weight, case
 
 
 def test_high_degree_stress():
@@ -494,7 +555,7 @@ def _phi_mp(sys, level, x):
 
     P = level_poly(sys, level)
     ps, pa, pb, pc = sys.p_prefactor
-    ws, wa, wb, wc = sys.w0.exp_w0_eta_exponents()
+    ws, wa, wb, wc = sys.w0_exponents
     if sys.case.is_laguerre:
         eta = x * x
         val = mpmath.exp(_mp(ws + ps) * eta) * x ** _mp(2 * (wa + pa))

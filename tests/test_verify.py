@@ -63,21 +63,11 @@ def test_negative_degree_rejected():
         Params(-1, 2)
 
 
-def test_negative_zero_count_points_rejected():
-    # islice used to clamp a negative count to 0 and report a pass
-    with pytest.raises(ValueError, match="points must be >= 0"):
-        run_suite("zero-count", points=-1)
-    assert run_suite("zero-count", points=0).checked == 0
-
-
-def test_spectrum_suite_grid_below_minimum_rejected():
-    with pytest.raises(ValueError, match="at least 201 points"):
-        run_suite("spectrum", points=150)
-
-
 def test_unknown_mutant_rejected():
     with pytest.raises(ValueError, match="unknown mutant"):
         run_suite("ode-residual", mutant="bogus")
+    with pytest.raises(ValueError, match="only the ode-residual suite takes a mutant"):
+        run_suite("xi-equation", mutant=MUTANTS[0])
 
 
 def test_ode_residual_takes_a_stand_in_polynomial():
