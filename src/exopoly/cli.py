@@ -22,7 +22,7 @@ from typing import Optional
 import click
 
 from .classical import TheoremHypothesisError, count_zeros_exact, predict_zero_count
-from .polycore import rat
+from .polycore import rat, rat_str
 from .quadrature import QuadratureConvergenceError, gram
 from .spectral import DEFAULT_POINTS, MIN_POINTS, GridSpec, compare_spectrum, default_grid
 from .systems import (
@@ -71,9 +71,9 @@ def _to_json(obj, indent: int = 0) -> str:
     if obj is True or obj is False:
         return "true" if obj else "false"
     if isinstance(obj, Fraction):
-        return _json_escape(str(obj))
+        return _json_escape(rat_str(obj))
     if isinstance(obj, int):
-        return str(obj)
+        return rat_str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):

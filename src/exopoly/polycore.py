@@ -18,6 +18,7 @@ from typing import Iterable, Sequence, Union
 
 __all__ = [
     "rat",
+    "rat_str",
     "Poly",
     "ETA",
     "ONE",
@@ -35,6 +36,19 @@ POS_INF = float("inf")
 def rat(x: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings and exact decimal strings to Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def rat_str(x: Union[Fraction, int]) -> str:
+    """str(x) at any length: CPython refuses an int of more than 4,300 digits
+    (sys.get_int_max_str_digits), so a longer one is printed in halves."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{rat_str(x.numerator)}/{rat_str(x.denominator)}"
+    m = abs(int(x))
+    if m.bit_length() <= 2000:  # <= 603 digits: under the lowest settable limit, 640
+        return str(int(x))
+    k = m.bit_length() * 3 // 20  # about half the digits (log10 2 = 0.301)
+    high, low = divmod(m, 10**k)
+    return "-" * (x < 0) + rat_str(high) + rat_str(low).zfill(k)
 
 
 def _is_inf(x) -> bool:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .classical import TheoremHypothesisError, jacobi, laguerre, nodeless_condition
-from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, sturm_count
+from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, rat_str, sturm_count
 
 __all__ = [
     "Case",
@@ -81,12 +81,12 @@ class Params:
 
     def __post_init__(self):
         _require(type(self.ell) is int and self.ell >= 0,  # a bool is no degree either
-                 f"ell must be an integer >= 0, got {self.ell!r}")
+                 "ell must be an integer >= 0, got {!r}", self.ell)
         for name in ("alpha",) if self.beta is None else ("alpha", "beta"):
             try:
                 object.__setattr__(self, name, rat(getattr(self, name)))
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                _require(False, f"{name} must be a rational number, got {getattr(self, name)!r}")
+                _require(False, name + " must be a rational number, got {!r}", getattr(self, name))
 
 
 class ParameterError(ValueError):
@@ -200,7 +200,8 @@ class XSystem:
     def label(self) -> str:
         """'case l2 (ell=1, alpha=-2, beta=None)': how error messages name the system."""
         p = self.params
-        return f"case {self.case.value} (ell={p.ell}, alpha={p.alpha}, beta={p.beta})"
+        return "case {} (ell={}, alpha={}, beta={})".format(
+            self.case.value, *map(_Exact, (p.ell, p.alpha, p.beta)))
 
     @cached_property
     def residual_operator(self) -> tuple[Poly, Poly, Poly, Poly]:
@@ -236,8 +237,29 @@ class XSystem:
 # construction
 # ---------------------------------------------------------------------------
 
-def _require(cond: bool, message: str) -> None:
+class _Exact:
+    """A value for a message that prints an int or Fraction at any length:
+    CPython's str() and repr() refuse an int of more than 4,300 digits."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __format__(self, spec: str) -> str:
+        v = self.value
+        return rat_str(v) if type(v) in (int, Fraction) else format(v, spec)
+
+    def __repr__(self) -> str:
+        v = self.value
+        if type(v) is Fraction:
+            return f"Fraction({rat_str(v.numerator)}, {rat_str(v.denominator)})"
+        return rat_str(v) if type(v) is int else repr(v)
+
+
+def _require(cond: bool, message: str, *values) -> None:
+    """Raise ParameterError unless cond.  The message is a str.format
+    template for `values`, filled only when the check fails."""
     if not cond:
+        message = message.format(*map(_Exact, values))
         raise ParameterError(f"parameter constraint violated: {message}")
 
 
@@ -261,11 +283,11 @@ def build_system(case: Case, params: Params) -> XSystem:
     if case.is_laguerre:
         _require(b is None, f"case {case.value} takes no beta")
         if case is Case.L2:
-            _require(a < -ell, f"alpha < -ell (case l2; got alpha={a}, ell={ell})")
+            _require(a < -ell, "alpha < -ell (case l2; got alpha={}, ell={})", a, ell)
             xi = laguerre(ell, a)
             p_prefactor = (Fraction(-1), Fraction(0), Fraction(0), Fraction(0))
         else:  # L1
-            _require(a > Fraction(-3, 2), f"alpha > -3/2 (case l1; got alpha={a})")
+            _require(a > Fraction(-3, 2), "alpha > -3/2 (case l1; got alpha={})", a)
             if a <= -1:
                 notes.append(
                     "alpha in (-3/2, -1]: the printed normalizability bound admits "
@@ -277,23 +299,24 @@ def build_system(case: Case, params: Params) -> XSystem:
     else:
         _require(b is not None, f"case {case.value} needs beta")
         if case is Case.J1:
-            _require(a > -_HALF, f"alpha > -1/2 (case j1; got alpha={a})")
-            _require(b < -ell, f"beta < -ell (case j1; got beta={b}, ell={ell})")
+            _require(a > -_HALF, "alpha > -1/2 (case j1; got alpha={})", a)
+            _require(b < -ell, "beta < -ell (case j1; got beta={}, ell={})", b, ell)
             p_prefactor = (Fraction(0), Fraction(0), a + 1, Fraction(0))
         elif case is Case.J2:
-            _require(b > -_HALF, f"beta > -1/2 (case j2; got beta={b})")
-            _require(a < -ell, f"alpha < -ell (case j2; got alpha={a}, ell={ell})")
+            _require(b > -_HALF, "beta > -1/2 (case j2; got beta={})", b)
+            _require(a < -ell, "alpha < -ell (case j2; got alpha={}, ell={})", a, ell)
             p_prefactor = (Fraction(0), Fraction(0), Fraction(0), b + 1)
         else:  # EXTJ
-            _require(a < -_HALF, f"alpha < -1/2 (case extj; got alpha={a})")
-            _require(b < -_HALF, f"beta < -1/2 (case extj; got beta={b})")
+            _require(a < -_HALF, "alpha < -1/2 (case extj; got alpha={})", a)
+            _require(b < -_HALF, "beta < -1/2 (case extj; got beta={})", b)
             _require(a + b < -ell,
-                     f"alpha + beta < -ell (case extj; got alpha+beta={a + b}, ell={ell})")
+                     "alpha + beta < -ell (case extj; got alpha+beta={}, ell={})", a + b, ell)
             try:
                 ok = nodeless_condition(ell, a, b)
             except TheoremHypothesisError as exc:
                 raise ParameterError(f"parameter constraint violated: {exc}") from exc
-            _require(ok, f"nodelessness condition fails (case extj; alpha={a}, beta={b}, ell={ell})")
+            _require(ok, "nodelessness condition fails (case extj; alpha={}, beta={}, ell={})",
+                     a, b, ell)
             p_prefactor = (Fraction(0),) * 4
         xi = jacobi(ell, a, b)
 

@@ -1,7 +1,8 @@
-"""Independent exact derivations, used as cross-check oracles: family
+"""Independent derivations, used as cross-check oracles: family
 polynomials for ``systems.exceptional_poly`` and the eigen-equation
 substitution for ``XSystem.residual_operator``, with the quasi-polynomial
-calculus that substitution runs on; no library code calls them.
+calculus that substitution runs on, and plain Sturm-count bisection for
+``spectral.eigen_lowest``; no library code calls them.
 
 A quasi-polynomial is
 
@@ -165,3 +166,74 @@ def substituted(sys: XSystem, P: Poly, E: Fraction) -> Poly:
         + p.times_poly(sys.xi).scaled(E)
     )
     return quasi_extract(total, total.prefactor)
+
+
+# ---------------------------------------------------------------------------
+# plain Sturm-count bisection: every count the bisection asks for is a pass
+# ---------------------------------------------------------------------------
+
+
+def bisection_count_below(diag, off2, sigma: float) -> int:
+    """Eigenvalues of the tridiagonal matrix strictly below sigma, by the
+    inertia of the LDL^T pivots of (T - sigma)."""
+    tiny = 1e-300
+    q = diag[0] - sigma
+    count = 0
+    for d, e2 in zip(diag[1:], off2):
+        if q == 0.0:
+            q = -tiny
+        if q < 0.0:
+            count += 1
+        q = d - sigma - e2 / q
+    return count + (q <= 0.0)
+
+
+def bisection_lowest(op, k: int) -> list[float]:
+    """The k smallest eigenvalues, ascending, by Sturm-count bisection."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > 10:
+        raise ValueError("only the lowest 10 levels are supported")
+    n = len(op.diag)
+    if k > n:
+        raise ValueError("k exceeds the matrix dimension")
+    diag = [float(d) for d in op.diag]
+    offs = [float(e) for e in op.off]
+    off2 = [e * e for e in offs]
+    radius = [0.0] * n
+    for i in range(n):
+        r = abs(offs[i - 1]) if i else 0.0
+        if i < n - 1:
+            r += abs(offs[i])
+        radius[i] = r
+    lo0 = min(d - r for d, r in zip(diag, radius))
+    hi0 = max(d + r for d, r in zip(diag, radius))
+    out = []
+    counts: dict[float, int] = {}  # the k bisections share their first midpoints
+    for j in range(1, k + 1):
+        lo, hi = lo0, hi0
+        # invariant: count(lo) < j <= count(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if mid not in counts:
+                counts[mid] = bisection_count_below(diag, off2, mid)
+            if counts[mid] >= j:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-14 * max(1.0, abs(mid)):
+                break
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+def bisection_richardson(operator, grid, k: int) -> list[float]:
+    """``spectral.richardson_lowest`` with both grids solved by
+    ``bisection_lowest``."""
+    coarse = grid.coarse()
+    fine_vals = bisection_lowest(operator(grid), k)
+    coarse_vals = bisection_lowest(operator(coarse), k)
+    r = ((grid.points + 1) / (coarse.points + 1)) ** 2
+    return [(r * f - c) / (r - 1) for f, c in zip(fine_vals, coarse_vals)]

@@ -13,6 +13,8 @@ from click.testing import CliRunner
 
 import exopoly
 from exopoly.cli import cli
+from exopoly.polycore import rat_str
+from exopoly.systems import Case, Params, build_system, level_poly
 from exopoly.verify import zero_count_draws
 
 
@@ -88,6 +90,20 @@ def test_construct_decimal_alpha_is_exact(runner):
     res = run(runner, "construct", "--case", "l2", "--ell", "1", "--alpha", "-2.5")
     data = json.loads(res.output)
     assert data["alpha"] == "-5/2"
+
+
+def test_construct_prints_rationals_past_the_int_digit_limit(runner):
+    # the xi coefficient alpha^3/6 has 6,000 digits, past CPython's
+    # 4,300-digit int-to-str limit; the output stays exact
+    res = run(runner, "construct", "--case", "l1", "--ell", "3", "--alpha", "1e2000", "--nmax", "3")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    sys_ = build_system(Case.L1, Params(3, "1e2000"))
+    assert data["alpha"] == "1" + "0" * 2000
+    assert data["xi_coefficients"] == [rat_str(c) for c in sys_.xi.coeffs]
+    assert max(len(c) for c in data["xi_coefficients"]) > 4300
+    for level in data["levels"]:
+        assert level["coefficients"] == [rat_str(c) for c in level_poly(sys_, level["level"]).coeffs]
 
 
 def test_construct_csv(runner):

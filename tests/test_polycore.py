@@ -16,6 +16,7 @@ from exopoly.polycore import (
     NEG_INF,
     POS_INF,
     Poly,
+    rat_str,
     sturm_count,
 )
 from exopoly.systems import _horner
@@ -394,3 +395,20 @@ def test_quasi_derivative_reduces_to_poly_calculus(body):
     d = q.derivative()
     expanded = ETA * Poly([1, -1]) * Poly([1, -1]) * Poly([1, 1]) * body
     assert quasi_extract(d, (0, 0, 0, 0)) == expanded.derivative()
+
+
+def test_rat_str_prints_past_the_int_digit_limit():
+    # CPython refuses str() of an int of more than 4,300 digits by default
+    import sys
+
+    values = [0, -7, 2**2000, -(2**2001 - 1), 10**4300, 10**9000 + 1,
+              F(-10**5000 - 3, 7**6000), F(3, 10**4400), F(10**4400)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = [str(v) for v in values]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert [rat_str(v) for v in values] == want

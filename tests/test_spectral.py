@@ -1,10 +1,13 @@
 """Finite-difference spectral checks against the closed-form eigenvalues."""
 
+import functools
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exopoly.spectral import (
     DEFAULT_POINTS,
@@ -12,6 +15,7 @@ from exopoly.spectral import (
     GridSpec,
     SpectrumReport,
     Tridiag,
+    _count_below,
     compare_spectrum,
     default_grid,
     discretize,
@@ -20,6 +24,11 @@ from exopoly.spectral import (
     tridiag_from_potential,
 )
 from exopoly.systems import Case, Params, build_system, energy, wavefunction_eval
+from exopoly.verify import REPRESENTATIVE
+from oracles import bisection_count_below, bisection_lowest, bisection_richardson
+
+# the two admissible limit-circle points whose spectrum check fails
+KNOWN_FAILING = [(Case.L1, Params(0, F(-1))), (Case.J1, Params(0, F(2), F(-1, 2)))]
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +77,108 @@ def test_eigen_lowest_limits():
         eigen_lowest(op, 11)
     with pytest.raises(ValueError):
         eigen_lowest(op, 0)
+
+
+def _grids(case, params):
+    sys = build_system(case, params)
+    grid = default_grid(sys)
+    return sys, grid, (discretize(sys, grid.coarse()), discretize(sys, grid))
+
+
+@pytest.mark.parametrize("case", list(REPRESENTATIVE))
+def test_bit_identical_to_plain_bisection_on_representative_grids(case):
+    # every count the bisection skips is decided by monotonicity, so the
+    # answer is plain bisection's to the last bit, unseeded and seeded
+    sys, grid, ops = _grids(case, REPRESENTATIVE[case])
+    for op in ops:
+        assert eigen_lowest(op, 10) == bisection_lowest(op, 10)
+    operator = lambda g: discretize(sys, g)
+    assert richardson_lowest(operator, grid, 10) == bisection_richardson(operator, grid, 10)
+
+
+@pytest.mark.parametrize("case, params", KNOWN_FAILING)
+def test_bit_identical_on_known_failing_points(case, params):
+    with np.errstate(all="ignore"):
+        sys, grid, ops = _grids(case, params)
+        for op in ops:
+            assert eigen_lowest(op, 10) == bisection_lowest(op, 10)
+
+
+def _random_tridiags(count):
+    rng = np.random.default_rng(4711)
+    for _ in range(count):
+        n = int(rng.integers(1, 60))
+        d = rng.normal(scale=float(rng.choice([1e-3, 1.0, 1e4])), size=n)
+        e = rng.normal(size=n - 1)
+        if n > 1:  # exact zeros split the matrix; 1e-9 nearly does
+            e[rng.random(n - 1) < 0.2] = 0.0
+            e[rng.random(n - 1) < 0.1] = 1e-9
+        yield Tridiag(d, e)
+
+
+def _special_tridiags():
+    w21 = np.abs(np.arange(-10.0, 11.0))  # Wilkinson's W21+: pairs agree to ~14 digits
+    yield Tridiag(w21, np.ones(20))
+    blocks = np.tile([2.0, 2.0, 5.0], 4)  # blocks [[2,-1],[-1,2]] and [5]: 1, 3, 5 four times each
+    yield Tridiag(blocks, np.tile([-1.0, 0.0, 0.0], 4)[:-1])
+    yield Tridiag(np.zeros(7), np.zeros(6))
+    yield Tridiag(np.array([2.0, 2.0]), np.array([-1.0]))
+    yield Tridiag(np.array([1.0, 2.0, 3.0]), np.zeros(2))
+    yield Tridiag(np.array([-0.0, 1.0, -0.0]), np.zeros(2))
+
+
+def test_bit_identical_on_hard_and_random_matrices():
+    for op in [*_special_tridiags(), *_random_tridiags(40)]:
+        k = min(10, len(op.diag))
+        assert eigen_lowest(op, k) == bisection_lowest(op, k)
+
+
+@functools.cache
+def _monotone_ops():
+    """(diag, off2, lowest levels) of the l2 and extj fine grids and five
+    random matrices."""
+    ops = [_grids(case, REPRESENTATIVE[case])[2][1] for case in (Case.L2, Case.EXTJ)]
+    ops += _random_tridiags(5)
+    return [([float(d) for d in op.diag], [float(e) ** 2 for e in op.off],
+             bisection_lowest(op, min(10, len(op.diag)))) for op in ops]
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 6), level=st.integers(0, 9),
+       offset=st.floats(-1e-9, 1e-9), ulps=st.integers(1, 2**20))
+def test_count_never_falls_as_the_shift_rises(which, level, offset, ulps):
+    # the count inference rests on this: shifts a few ulps apart next to an
+    # eigenvalue, where the pivots are smallest and rounding matters most
+    diag, off2, lam = _monotone_ops()[which]
+    s1 = lam[min(level, len(lam) - 1)] * (1.0 + offset) + offset
+    s2 = s1 + ulps * math.ulp(s1)
+    assert _count_below(diag, off2, s1) <= _count_below(diag, off2, s2)
+
+
+def test_zero_and_negative_zero_pivots_count_as_before():
+    cases = [
+        ([1.0, 4.0, 3.0], [4.0, 1.0], 0.0),  # q_1 = 4 - 4/1 = 0.0
+        ([2.0, 1.0, 3.0], [1.0, 1.0], 2.0),  # q_0 = 0.0
+        ([-0.0, 1.0, 2.0], [0.0, 1.0], 0.0),  # q_0 = -0.0 - 0.0 = -0.0
+        ([1.0, -0.0, 2.0], [0.0, 1.0], 0.0),  # q_1 = -0.0 - 0/1 = -0.0
+        ([1.0, 2.0, -0.0], [0.0, 0.0], 0.0),  # the last pivot is -0.0
+        ([3.0, 1.0, 0.0], [2.0, 1.0], 1.0),  # q_2 = -1 - 1/(-1) = 0.0
+    ]
+    for diag, off2, sigma in cases:
+        want = bisection_count_below(diag, off2, sigma)
+        assert _count_below(diag, off2, sigma) == want
+        assert _count_below(diag, off2, sigma, slope=True)[0] == want
+
+
+def test_newton_slope_is_the_log_determinant_derivative():
+    rng = np.random.default_rng(9)
+    d, e = rng.normal(size=50), rng.normal(size=49)
+    lam = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    for sigma in (0.5 * (lam[10] + lam[11]), lam[30] + 1e-3, lam[0] - 2.0):
+        count, s = _count_below(list(d), list(e * e), float(sigma), slope=True)
+        want = -np.sum(1.0 / (lam - sigma))
+        assert count == int(np.sum(lam < sigma))
+        assert abs(s - want) <= 1e-8 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +246,6 @@ def test_levels_strictly_increasing():
 def test_count_below_matches_analytic_count():
     # between consecutive analytic eigenvalues the operator must have exactly
     # the analytic number of levels below
-    from exopoly.spectral import _count_below
-
     sys = build_system(Case.L2, Params(1, F(-2)))
     op = discretize(sys, GridSpec(1e-3, 12.0, 2000))
     off2 = [float(e) ** 2 for e in op.off]

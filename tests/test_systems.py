@@ -134,6 +134,20 @@ def test_build_system_returns_or_rejects(case, ell, alpha, beta):
     assert sys.params.ell == ell and isinstance(sys.params.alpha, F)
 
 
+def test_parameters_too_long_to_print_build_or_fail_cleanly():
+    # 20,001 digits, past CPython's 4,300-digit int-to-str limit: a passing
+    # check formats no message, and a failing one prints the value exactly
+    sys = build_system(Case.L1, Params(3, "1e20000"))
+    assert sys.params.alpha == 10**20000
+    assert sys.label == f"case l1 (ell=3, alpha=1{'0' * 20000}, beta=None)"
+    with pytest.raises(ParameterError) as err:
+        build_system(Case.L1, Params(3, "-1e20000"))
+    assert str(err.value) == ("parameter constraint violated: alpha > -3/2 "
+                              f"(case l1; got alpha=-1{'0' * 20000})")
+    with pytest.raises(ParameterError, match="ell must be an integer >= 0, got -10{5000}$"):
+        Params(-10**5000, 1)
+
+
 def test_l1_nodelessness_is_authoritative():
     # printed bound admits alpha=-5/4 but xi = L_1^(-5/4)(-eta) has a root
     # at eta=1/4 inside the domain
