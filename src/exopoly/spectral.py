@@ -8,10 +8,9 @@ first place count samples next to each level, and since the count never
 falls as the shift rises, the bisection skips every count they decide: its
 steps and its answer are unchanged, in about a third of the passes.
 `compare_spectrum` extrapolates from two grids on one box (999 and 499
-interior points by default), cancelling the h^2 error term; the coarse
-grid's levels seed the fine grid's Newton steps.  What remains is the box
-truncation, ~1e-5 on j1/j2.  Nothing here reuses the symbolic eigenvalue
-formulas, so agreement with them is a genuine two-route test.
+interior points by default), cancelling the h^2 error term; what remains is
+the box truncation, ~1e-5 on j1/j2.  Nothing here reuses the symbolic
+eigenvalue formulas, so agreement with them is a genuine two-route test.
 """
 
 from __future__ import annotations
@@ -172,28 +171,23 @@ class _Samples:
             return cs[i] >= j
         return cs[i - 1] >= j or self.count(sigma) >= j
 
-    def place(self, j: int, x: Optional[float]) -> None:
+    def place(self, j: int) -> None:
         """Samples just below and just above the j-th lowest level: bisect
-        until the samples isolate it, take Newton steps from x that stay in
-        the bracket, and certify the root by counts at +-eps max(|lo0|, |hi0|),
-        widened by 4 until they straddle it.  A given x is checked by counts
-        at +-1e-2 max(|x|, 1) first."""
+        until the samples isolate it, take Newton steps that stay in the
+        bracket, and certify the root by counts at +-eps max(|lo0|, |hi0|),
+        widened by 4 until they straddle it."""
         xs, cs = self.xs, self.cs
-        if x is not None:
-            w = 1e-2 * max(abs(x), 1.0)
-            self.count(x - w)
-            self.count(x + w)
+        x = math.nan  # no Newton iterate until the samples isolate the level
         for _ in range(200):
             i = bisect_left(cs, j)
             lo, hi = xs[i - 1], xs[i]
             if cs[i - 1] < j - 1 or cs[i] > j:  # not isolated: bisect
-                x = None
                 mid = 0.5 * (lo + hi)
                 if hi - lo <= 1e-14 * max(1.0, abs(mid)):
                     return
                 self.count(mid)
                 continue
-            if x is None or not lo < x < hi:  # also catches a NaN step
+            if not lo < x < hi:  # also catches a NaN step
                 x = 0.5 * (lo + hi)
             s = self.count(x, slope=True)[1]
             step = -1.0 / s if s else math.inf
@@ -212,11 +206,10 @@ class _Samples:
             w *= 4.0
 
 
-def eigen_lowest(op: Tridiag, k: int, *, _near: Sequence[float] = ()) -> list[float]:
+def eigen_lowest(op: Tridiag, k: int) -> list[float]:
     """The k smallest eigenvalues, ascending, by Sturm-count bisection.
 
-    Newton first places count samples next to each level, starting from the
-    approximate levels `_near` (a coarser grid's) when given; the bisection
+    Newton first places count samples next to each level; the bisection
     then runs a pass only for the counts those samples leave undecided."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -238,7 +231,7 @@ def eigen_lowest(op: Tridiag, k: int, *, _near: Sequence[float] = ()) -> list[fl
     hi0 = max(d + r for d, r in zip(diag, radius))
     samples = _Samples(diag, off2, lo0, hi0)
     for j in range(1, k + 1):
-        samples.place(j, _near[j - 1] if j <= len(_near) else None)
+        samples.place(j)
     out = []
     for j in range(1, k + 1):
         lo, hi = lo0, hi0
@@ -278,9 +271,8 @@ def richardson_lowest(operator: Callable[[GridSpec], Tridiag], grid: GridSpec, k
     if grid.points < MIN_POINTS:
         raise ValueError(f"the two-grid spectrum needs at least {MIN_POINTS} points")
     coarse = grid.coarse()
-    fine = operator(grid)  # built first, so that its error is the one raised
+    fine_vals = eigen_lowest(operator(grid), k)
     coarse_vals = eigen_lowest(operator(coarse), k)
-    fine_vals = eigen_lowest(fine, k, _near=coarse_vals)
     r = ((grid.points + 1) / (coarse.points + 1)) ** 2
     return [(r * f - c) / (r - 1) for f, c in zip(fine_vals, coarse_vals)]
 

@@ -88,7 +88,7 @@ def _grids(case, params):
 @pytest.mark.parametrize("case", list(REPRESENTATIVE))
 def test_bit_identical_to_plain_bisection_on_representative_grids(case):
     # every count the bisection skips is decided by monotonicity, so the
-    # answer is plain bisection's to the last bit, unseeded and seeded
+    # answer is plain bisection's to the last bit, on each grid and extrapolated
     sys, grid, ops = _grids(case, REPRESENTATIVE[case])
     for op in ops:
         assert eigen_lowest(op, 10) == bisection_lowest(op, 10)
