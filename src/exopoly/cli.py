@@ -8,8 +8,8 @@ floats printed with 17 significant digits, fixed random seeds).
 Exit codes: 0 success; 1 invalid input or inadmissible parameters;
 2 verification or computational failure.
 
-numpy loads on the first float call: --version, --help, construct, zeros and
-the exact verify suites never load it.
+numpy loads only for the Gram matrix: ortho and the orthogonality suite of
+verify load it, and no other command does.
 """
 
 from __future__ import annotations
@@ -107,6 +107,12 @@ def _fail(message: str, code: int) -> None:
     _sys.exit(code)
 
 
+def _beyond_floats(sys: XSystem, command: str) -> None:
+    """Exit 1 where the system's parameters overflow a float."""
+    _fail(f"{sys.label}: beyond the float range; the float method of {command} "
+          "cannot represent these parameters", 1)
+
+
 def _parse_rational(text: Optional[str], name: str) -> Optional[Fraction]:
     if text is None:
         return None
@@ -182,15 +188,8 @@ def construct(case_str, ell, alpha, beta, n_single, nmax, fmt):
     for lv in level_indices:
         poly = level_poly(sys, lv)
         fam = None if (off and lv == 0) else lv - off
-        levels.append(
-            {
-                "level": lv,
-                "family_index": fam,
-                "degree": poly.degree(),
-                "energy": energy(sys, lv),
-                "coefficients": list(poly.coeffs),
-            }
-        )
+        levels.append({"level": lv, "family_index": fam, "degree": poly.degree(),
+                       "energy": energy(sys, lv), "coefficients": list(poly.coeffs)})
     report = {
         **_system_header(sys),
         "xi_coefficients": list(sys.xi.coeffs),
@@ -198,12 +197,8 @@ def construct(case_str, ell, alpha, beta, n_single, nmax, fmt):
         "xi_tilde_E": sys.xi_tilde_E,
         "c2_sign": sys.c2_sign,
         "domain_eta": str(sys.domain_eta),
-        "weight_exponents": {
-            "exp": sys.weight.s,
-            "eta": sys.weight.a,
-            "one_minus_eta": sys.weight.b,
-            "one_plus_eta": sys.weight.c,
-        },
+        "weight_exponents": {"exp": sys.weight.s, "eta": sys.weight.a,
+                             "one_minus_eta": sys.weight.b, "one_plus_eta": sys.weight.c},
         "notes": list(sys.notes),
         "levels": levels,
     }
@@ -212,13 +207,16 @@ def construct(case_str, ell, alpha, beta, n_single, nmax, fmt):
         return
     lines = ["case,ell,alpha,beta,level,family_index,degree,energy,k,coefficient"]
     p = sys.params
-    head = [sys.case.value, str(p.ell), _fmt_float(float(p.alpha)),
-            "" if p.beta is None else _fmt_float(float(p.beta))]
-    for e in levels:
-        fam = "" if e["family_index"] is None else str(e["family_index"])
-        row = head + [str(e["level"]), fam, str(e["degree"]), _fmt_float(float(e["energy"]))]
-        lines += [",".join(row + [str(k), _fmt_float(float(c))])
-                  for k, c in enumerate(e["coefficients"])]
+    try:
+        head = [sys.case.value, str(p.ell), _fmt_float(float(p.alpha)),
+                "" if p.beta is None else _fmt_float(float(p.beta))]
+        for e in levels:
+            fam = "" if e["family_index"] is None else str(e["family_index"])
+            row = head + [str(e["level"]), fam, str(e["degree"]), _fmt_float(float(e["energy"]))]
+            lines += [",".join(row + [str(k), _fmt_float(float(c))])
+                      for k, c in enumerate(e["coefficients"])]
+    except OverflowError:
+        _beyond_floats(sys, "construct --format csv")
     click.echo("\n".join(lines))
 
 
@@ -261,14 +259,10 @@ def ortho(case_str, ell, alpha, beta, nmax, tol):
         rep = gram(sys, nmax)
     except QuadratureConvergenceError as exc:
         _fail(f"orthogonality integration failed: {exc}", 2)
-    _emit_json(
-        {
-            **_system_header(sys),
-            "size": rep.size,
-            "max_offdiag": rep.max_offdiag,
-            "gram": [list(row) for row in rep.matrix],
-        }
-    )
+    except OverflowError:
+        _beyond_floats(sys, "ortho")
+    _emit_json({**_system_header(sys), "size": rep.size, "max_offdiag": rep.max_offdiag,
+                "gram": [list(row) for row in rep.matrix]})
     if rep.max_offdiag >= tol:
         _sys.exit(2)
 
@@ -295,36 +289,19 @@ def spectrum(case_str, ell, alpha, beta, k, points, x_min, x_max, tol):
               f"{MIN_POINTS} points", 1)
     try:
         base = default_grid(sys, points)
-        grid = GridSpec(
-            x_min if x_min is not None else base.x_min,
-            x_max if x_max is not None else base.x_max,
-            points,
-        )
+        grid = GridSpec(base.x_min if x_min is None else x_min,
+                        base.x_max if x_max is None else x_max, points)
         rep = compare_spectrum(sys, k, grid)
     except ValueError as exc:
         _fail(str(exc), 1)
-    _emit_json(
-        {
-            **_system_header(sys),
-            "grid": {
-                "x_min": rep.grid.x_min,
-                "x_max": rep.grid.x_max,
-                "points": rep.grid.points,
-                "coarse_points": rep.coarse.points,
-                "boundary": "dirichlet",
-            },
-            "levels": [
-                {
-                    "level": i,
-                    "analytic": a,
-                    "numeric": v,
-                    "error": e,
-                }
-                for i, (a, v, e) in enumerate(zip(rep.analytic, rep.numeric, rep.errors))
-            ],
-            "max_error": rep.max_error,
-        }
-    )
+    except OverflowError:
+        _beyond_floats(sys, "spectrum")
+    grid = {"x_min": rep.grid.x_min, "x_max": rep.grid.x_max, "points": rep.grid.points,
+            "coarse_points": rep.coarse.points, "boundary": "dirichlet"}
+    levels = [{"level": i, "analytic": a, "numeric": v, "error": e}
+              for i, (a, v, e) in enumerate(zip(rep.analytic, rep.numeric, rep.errors))]
+    _emit_json({**_system_header(sys), "grid": grid, "levels": levels,
+                "max_error": rep.max_error})
     if rep.max_error >= tol:
         _sys.exit(2)
 
@@ -369,20 +346,11 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
         match = pred.count == exact
         if not match and not pred.oracle_resolved:
             mismatches += 1
-        table.append(
-            {
-                "kind": pred.kind,
-                "degree": pred.n,
-                "alpha": pred.alpha,
-                "beta": pred.beta,
-                "branch": pred.branch,
-                "predicted": pred.count,
-                "oracle_resolved": pred.oracle_resolved,
-                "readings": list(pred.readings) if pred.readings else None,
-                "sturm": exact,
-                "match": match,
-            }
-        )
+        table.append({"kind": pred.kind, "degree": pred.n, "alpha": pred.alpha,
+                      "beta": pred.beta, "branch": pred.branch, "predicted": pred.count,
+                      "oracle_resolved": pred.oracle_resolved,
+                      "readings": list(pred.readings) if pred.readings else None,
+                      "sturm": exact, "match": match})
     _emit_json({"rows": table, "mismatches": mismatches})
     if mismatches:
         _sys.exit(2)
@@ -397,7 +365,6 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
 @click.option("--points", type=int, default=500)
 def plotdata(case_str, ell, alpha, beta, nmax, points):
     """CSV columns x, V(x), phi_0(x).. phi_nmax(x) over an interior grid."""
-    import numpy as np  # local: exact-only commands must not load numpy
     sys = _build(case_str, ell, alpha, beta)
     if points < 2:
         _fail("--points must be >= 2", 1)
@@ -405,12 +372,16 @@ def plotdata(case_str, ell, alpha, beta, nmax, points):
         _fail("--nmax must be >= 0", 1)
     base = default_grid(sys)  # the box only: plotdata may take fewer points than a grid
     lo, hi = base.x_min, base.x_max
-    xs = lo + np.arange(points) * ((hi - lo) / (points - 1))
-    columns = [xs, potential_eval(sys, xs)]
-    columns += [wavefunction_eval(sys, k, xs) for k in range(nmax + 1)]
+    step = (hi - lo) / (points - 1)
+    xs = [lo + k * step for k in range(points)]
+    try:
+        columns = [xs, potential_eval(sys, xs)]
+        columns += [wavefunction_eval(sys, k, xs) for k in range(nmax + 1)]
+    except OverflowError:
+        _beyond_floats(sys, "plotdata")
     header = ["x", "V"] + [f"phi{k}" for k in range(nmax + 1)]
     lines = [",".join(header)]
-    for row in zip(*(c.tolist() for c in columns)):
+    for row in zip(*columns):
         lines.append(",".join(_fmt_float(v) for v in row))
     click.echo("\n".join(lines))
 

@@ -11,6 +11,8 @@ steps and its answer are unchanged, in about a third of the passes.
 interior points by default), cancelling the h^2 error term; what remains is
 the box truncation, ~1e-5 on j1/j2.  Nothing here reuses the symbolic
 eigenvalue formulas, so agreement with them is a genuine two-route test.
+Grids, potential values and matrices are lists of Python floats: the
+spectrum needs no numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .systems import Array, Case, XSystem, energy, potential_eval
+from .systems import Case, XSystem, energy, potential_eval
 
 __all__ = [
     "GridSpec",
@@ -65,9 +67,9 @@ class GridSpec:
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.points + 1)
 
-    def interior(self) -> Array:
-        import numpy as np  # local: exact-only commands must not load numpy
-        return self.x_min + self.h * np.arange(1, self.points + 1)
+    def interior(self) -> list[float]:
+        h = self.h
+        return [self.x_min + h * k for k in range(1, self.points + 1)]
 
     def coarse(self) -> "GridSpec":
         """The same box with half as many cells (exactly when points + 1 is even)."""
@@ -78,8 +80,8 @@ class GridSpec:
 class Tridiag:
     """Symmetric tridiagonal operator (diagonal and subdiagonal)."""
 
-    diag: Array
-    off: Array
+    diag: Sequence[float]
+    off: Sequence[float]
 
     def __post_init__(self):
         if len(self.off) != len(self.diag) - 1:
@@ -91,22 +93,17 @@ def default_grid(sys: XSystem, points: int = DEFAULT_POINTS) -> GridSpec:
     return GridSpec(lo, hi, points)
 
 
-def tridiag_from_potential(v: Callable[[Array], Array], grid: GridSpec) -> Tridiag:
+def tridiag_from_potential(v: Callable[[list[float]], Sequence[float]], grid: GridSpec) -> Tridiag:
     """Central-difference matrix: 2/h^2 + V(x_i) on the diagonal, -1/h^2 off;
-    v maps the array of interior nodes x_i to the values V(x_i)."""
-    import numpy as np
+    v maps the list of interior nodes x_i to the values V(x_i)."""
     h = grid.h
     xs = grid.interior()
-    vals = np.asarray(v(xs), dtype=float)
-    bad = np.nonzero(~np.isfinite(vals))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"potential is not finite at grid node {i} (x={float(xs[i])!r}, V={float(vals[i])!r})"
-        )
-    diag = 2.0 / h**2 + vals
-    off = np.full(len(xs) - 1, -1.0 / h**2)
-    return Tridiag(diag, off)
+    vals = list(map(float, v(xs)))
+    if not all(map(math.isfinite, vals)):
+        i = next(i for i, val in enumerate(vals) if not math.isfinite(val))
+        raise ValueError(f"potential is not finite at grid node {i} (x={xs[i]!r}, V={vals[i]!r})")
+    d = 2.0 / h**2
+    return Tridiag([d + val for val in vals], [-1.0 / h**2] * (len(xs) - 1))
 
 
 def discretize(sys: XSystem, grid: Optional[GridSpec] = None) -> Tridiag:
@@ -221,12 +218,8 @@ def eigen_lowest(op: Tridiag, k: int) -> list[float]:
     diag = [float(d) for d in op.diag]
     offs = [float(e) for e in op.off]
     off2 = [e * e for e in offs]
-    radius = [0.0] * n
-    for i in range(n):
-        r = abs(offs[i - 1]) if i else 0.0
-        if i < n - 1:
-            r += abs(offs[i])
-        radius[i] = r
+    pad = [0.0, *map(abs, offs), 0.0]  # |off| on each side of a row, 0 past the ends
+    radius = [left + right for left, right in zip(pad, pad[1:])]
     lo0 = min(d - r for d, r in zip(diag, radius))
     hi0 = max(d + r for d, r in zip(diag, radius))
     samples = _Samples(diag, off2, lo0, hi0)

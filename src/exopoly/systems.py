@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .classical import TheoremHypothesisError, jacobi, laguerre, nodeless_condition
 from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, rat_str, sturm_count
@@ -57,7 +57,8 @@ __all__ = [
 ]
 
 
-#: a float numpy array in annotations, which must not name numpy (see the float section)
+#: a float numpy array in quadrature's annotations, which must not name numpy:
+#: only the Gram matrix loads it, inside the functions that use it
 Array = Any
 
 
@@ -125,9 +126,6 @@ class XSystem:
     xi: Poly
     p_prefactor: tuple[Fraction, Fraction, Fraction, Fraction]
     notes: tuple[str, ...] = ()
-
-    def eta_of_x(self, x: Array) -> Array:
-        return x * x if self.case.is_laguerre else _per_node(math.cos, 2 * x)
 
     @cached_property
     def c2_sign(self) -> int:
@@ -485,17 +483,11 @@ def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# float evaluation over arrays of points
+# float evaluation over lists of points
 # ---------------------------------------------------------------------------
-# numpy is imported inside each float function, here and in quadrature,
-# spectral and cli, so that the exact layer and its commands never load it
-
-
-def _per_node(f: Callable[[float], float], t: Array) -> Array:
-    """f node by node, so exp, pow, sin and cos come from libm: numpy's own
-    differ from it in the last ulp on some nodes, and printed values must not."""
-    import numpy as np
-    return np.fromiter(map(f, t.tolist()), float, len(t))
+# plain Python floats, node by node, so that spectrum and plotdata never load
+# numpy: exp, pow, sin and cos come from libm, and every + - * / runs in the
+# order an elementwise float64 array would run it, with the same result
 
 
 def _horner(coeffs: list[float], eta):
@@ -506,62 +498,85 @@ def _horner(coeffs: list[float], eta):
     return acc
 
 
-def _interior(sys: XSystem, x) -> Array:
-    """x as a 1-d float array, every node inside the open physical domain."""
-    import numpy as np
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+def _horner_nodes(coeffs: list[float], etas: list[float]) -> list[float]:
+    """_horner at every node, one coefficient at a time over the whole list."""
+    acc = [0.0] * len(etas)
+    for c in reversed(coeffs):
+        acc = [a * e + c for a, e in zip(acc, etas)]
+    return acc
+
+
+def _quotient(num, den: list[float]) -> list[float]:
+    """num / den node by node (num a list or one float).  A zero divisor
+    gives IEEE's +-inf, or nan for 0/0, where Python raises: a node too near
+    a wall is then named by tridiag_from_potential."""
+    nums = num if isinstance(num, list) else [num] * len(den)
+    try:
+        return [a / b for a, b in zip(nums, den)]
+    except ZeroDivisionError:
+        return [a / b if b else math.copysign(math.inf, a) * math.copysign(1.0, b)
+                if a == a and a else math.nan for a, b in zip(nums, den)]
+
+
+def _interior(sys: XSystem, x) -> tuple[list[float], list[float], bool]:
+    """x as a list of floats, every node inside the open physical domain;
+    with eta at each node, and whether x was a single number."""
+    try:
+        xs, single = list(map(float, x)), False
+    except TypeError:
+        xs, single = [float(x)], True
     lo, hi = float(sys.domain_x.lo), float(sys.domain_x.hi)
-    bad = np.flatnonzero(~((lo < xs) & (xs < hi)))
-    if bad.size:
-        raise ValueError(f"x={float(xs[bad[0]])} outside the open physical domain ({lo}, {hi})")
-    return xs
+    for t in xs:
+        if not lo < t < hi:
+            raise ValueError(f"x={t} outside the open physical domain ({lo}, {hi})")
+    eta = [t * t for t in xs] if sys.case.is_laguerre else [math.cos(2 * t) for t in xs]
+    return xs, eta, single
 
 
-def _v0(sys: XSystem, x: Array) -> Array:
-    """The undeformed part W0'^2 + W0'' of the potential, over an array."""
+def _v0(sys: XSystem, xs: list[float], eta: list[float]) -> list[float]:
+    """The undeformed part W0'^2 + W0'' of the potential, node by node."""
     a = sys.params.alpha
     g = float((a + _HALF) * (a + Fraction(3, 2)))
-    if sys.case.is_laguerre:
-        return x * x + g / (x * x) - 2 * sys.c2_sign * float(a)
+    if sys.case.is_laguerre:  # eta = x^2
+        shift = 2 * sys.c2_sign * float(a)
+        return [u + w - shift for u, w in zip(eta, _quotient(g, eta))]
     b = sys.params.beta
     h = float((b + _HALF) * (b + Fraction(3, 2)))
-    s, c = _per_node(math.sin, x), _per_node(math.cos, x)
-    return g / (s * s) + h / (c * c) - float(a + b + 1) ** 2
+    ss = [s * s for s in map(math.sin, xs)]
+    cc = [c * c for c in map(math.cos, xs)]
+    shift = float(a + b + 1) ** 2
+    return [u + w - shift for u, w in zip(_quotient(g, ss), _quotient(h, cc))]
 
 
 def potential_eval(sys: XSystem, x):
-    """V(x) from the prepotential and deforming function; x is a float or a
-    1-d array of points, and the result takes the same form."""
-    import numpy as np
-    xs = _interior(sys, x)
-    eta = sys.eta_of_x(xs)
+    """V(x) from the prepotential and deforming function; x is a float, or a
+    sequence of floats for a list of values."""
+    xs, eta, single = _interior(sys, x)
     xi, dxi, dot2, q, ddot, c1 = (
-        _horner(p.float_coeffs(), eta)
+        _horner_nodes(p.float_coeffs(), eta)
         for p in (sys.xi, sys.xi.derivative(), sys.eta_dot2, sys.Q, sys.eta_ddot, sys.c1)
     )
     sgn = sys.c2_sign
+    e = sgn * float(sys.xi_tilde_E)
     # a node too near a wall gives inf or nan, silently: tridiag_from_potential names it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r = dxi / xi
-        v = _v0(sys, xs) + r * (2 * dot2 * r - (2 * q + ddot) + sgn * c1) + sgn * float(sys.xi_tilde_E)
-    return v if np.ndim(x) else float(v[0])
+    v = [v0 + r * (2 * d2 * r - (2 * qq + dd) + sgn * cc) + e
+         for v0, r, d2, qq, dd, cc in zip(_v0(sys, xs, eta), _quotient(dxi, xi), dot2, q, ddot, c1)]
+    return v[0] if single else v
 
 
 def wavefunction_eval(sys: XSystem, level: int, x):
-    """Unnormalized eigenfunction of the given level; x is a float or a 1-d
-    array of points, and the result takes the same form."""
-    import numpy as np
-    xs = _interior(sys, x)
+    """Unnormalized eigenfunction of the given level; x is a float, or a
+    sequence of floats for a list of values."""
+    xs, eta, single = _interior(sys, x)
     P = level_poly(sys, level)
     s, a, b, c = (w + p for w, p in zip(sys.w0_exponents, sys.p_prefactor))  # e^W0 * prefactor
     if sys.case.is_laguerre:
         exp_coeff = float(s)       # coefficient of eta = x^2 in the exponent
         x_power = float(2 * a)     # eta^k = x^(2k)
-        value = _per_node(lambda t: math.exp(exp_coeff * (t * t)) * t ** x_power, xs)
+        value = [math.exp(exp_coeff * (t * t)) * t ** x_power for t in xs]
     else:  # 1 - eta = 2 sin^2 x, 1 + eta = 2 cos^2 x
         u, v = float(b), float(c)
-        value = _per_node(lambda t: (2 * math.sin(t) ** 2) ** u * (2 * math.cos(t) ** 2) ** v, xs)
-    eta = sys.eta_of_x(xs)
-    psi = value * _horner(P.float_coeffs(), eta) / _horner(sys.xi.float_coeffs(), eta)
-    return psi if np.ndim(x) else float(psi[0])
-
+        value = [(2 * math.sin(t) ** 2) ** u * (2 * math.cos(t) ** 2) ** v for t in xs]
+    top = [w * p for w, p in zip(value, _horner_nodes(P.float_coeffs(), eta))]
+    psi = _quotient(top, _horner_nodes(sys.xi.float_coeffs(), eta))
+    return psi[0] if single else psi

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, Optional
@@ -128,6 +129,17 @@ def grid_systems(ells=(1, 2, 3)) -> Iterator[XSystem]:
                 yield build_system(case, params)
 
 
+@cache
+def _grid_at(ell: int) -> tuple[XSystem, ...]:
+    """The canonical systems of one degree, built once per process: the exact
+    suites share each system and the family members kept on it."""
+    return tuple(grid_systems((ell,)))
+
+
+def _shared_grid(ells) -> Iterator[XSystem]:
+    return (sys for ell in ells for sys in _grid_at(ell))
+
+
 # representative points for the numeric suites (one per case)
 REPRESENTATIVE = {
     Case.L2: Params(1, Fraction(-2)),
@@ -179,7 +191,7 @@ def run_identity_suite() -> VerifyOutcome:
 def run_xi_equation_suite() -> VerifyOutcome:
     """The deforming-function equation, exact, for every case and degree."""
     def checks():
-        for sys in grid_systems(_XI_ELLS):
+        for sys in _shared_grid(_XI_ELLS):
             ok = xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
             yield f"xi-equation fails: {sys.case.value} {sys.params}", ok, float(not ok)
     return _suite("xi-equation", checks())
@@ -209,7 +221,7 @@ def run_ode_residual_suite(mutant: Optional[str] = None) -> VerifyOutcome:
         raise ValueError(f"unknown mutant {mutant!r}; have {list(MUTANTS)}")
 
     def checks():
-        for sys in grid_systems(_ELLS):
+        for sys in _shared_grid(_ELLS):
             for n in range(_N_MAX + 1):
                 ok = ode_residual(sys, n, _mutated_poly(sys, n, mutant)).is_zero
                 yield (f"residual nonzero: {sys.case.value} ell={sys.params.ell} "
@@ -221,7 +233,7 @@ def run_ode_residual_suite(mutant: Optional[str] = None) -> VerifyOutcome:
 def run_shifted_form_suite() -> VerifyOutcome:
     """Exact proportionality between the two bilinear forms (nonzero constant)."""
     def checks():
-        for sys in grid_systems(_ELLS):
+        for sys in _shared_grid(_ELLS):
             if sys.case is Case.EXTJ:
                 continue
             for n in range(_N_MAX + 1):
@@ -241,7 +253,7 @@ def run_degree_node_suite() -> VerifyOutcome:
     unit = Interval(Fraction(-1), Fraction(1))
 
     def checks():
-        for sys in grid_systems(_ELLS):
+        for sys in _shared_grid(_ELLS):
             ell = sys.params.ell
             for n in range(_N_MAX + 1):
                 P = exceptional_poly(sys, n)

@@ -1,8 +1,10 @@
 """Independent derivations, used as cross-check oracles: family
 polynomials for ``systems.exceptional_poly`` and the eigen-equation
 substitution for ``XSystem.residual_operator``, with the quasi-polynomial
-calculus that substitution runs on, and plain Sturm-count bisection for
-``spectral.eigen_lowest``; no library code calls them.
+calculus that substitution runs on, plain Sturm-count bisection for
+``spectral.eigen_lowest``, and numpy array evaluation for
+``systems.potential_eval`` and ``systems.wavefunction_eval``; no library
+code calls them.
 
 A quasi-polynomial is
 
@@ -11,12 +13,14 @@ A quasi-polynomial is
 with a polynomial body B; the form stays closed under differentiation.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from exopoly.classical import jacobi
 from exopoly.polycore import ETA, ONE, Poly, rat
-from exopoly.systems import XSystem
+from exopoly.systems import XSystem, level_poly
 
 
 class IncompatiblePrefactorError(ValueError):
@@ -237,3 +241,91 @@ def bisection_richardson(operator, grid, k: int) -> list[float]:
     coarse_vals = bisection_lowest(operator(coarse), k)
     r = ((grid.points + 1) / (coarse.points + 1)) ** 2
     return [(r * f - c) / (r - 1) for f, c in zip(fine_vals, coarse_vals)]
+
+
+# ---------------------------------------------------------------------------
+# potentials and wave functions over numpy arrays: the float evaluators as
+# they were before they moved to plain Python floats, kept verbatim apart
+# from the names and from XSystem.eta_of_x, now the function _np_eta_of_x
+# ---------------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+
+
+def _np_eta_of_x(sys: XSystem, x):
+    return x * x if sys.case.is_laguerre else _np_per_node(math.cos, 2 * x)
+
+
+def _np_per_node(f: Callable[[float], float], t):
+    """f node by node, so exp, pow, sin and cos come from libm: numpy's own
+    differ from it in the last ulp on some nodes, and printed values must not."""
+    import numpy as np
+    return np.fromiter(map(f, t.tolist()), float, len(t))
+
+
+def _np_horner(coeffs: list[float], eta):
+    """Float Horner evaluation of ascending coefficients, as acc * eta + c."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * eta + c
+    return acc
+
+
+def _np_interior(sys: XSystem, x):
+    """x as a 1-d float array, every node inside the open physical domain."""
+    import numpy as np
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = float(sys.domain_x.lo), float(sys.domain_x.hi)
+    bad = np.flatnonzero(~((lo < xs) & (xs < hi)))
+    if bad.size:
+        raise ValueError(f"x={float(xs[bad[0]])} outside the open physical domain ({lo}, {hi})")
+    return xs
+
+
+def _np_v0(sys: XSystem, x):
+    """The undeformed part W0'^2 + W0'' of the potential, over an array."""
+    a = sys.params.alpha
+    g = float((a + _HALF) * (a + Fraction(3, 2)))
+    if sys.case.is_laguerre:
+        return x * x + g / (x * x) - 2 * sys.c2_sign * float(a)
+    b = sys.params.beta
+    h = float((b + _HALF) * (b + Fraction(3, 2)))
+    s, c = _np_per_node(math.sin, x), _np_per_node(math.cos, x)
+    return g / (s * s) + h / (c * c) - float(a + b + 1) ** 2
+
+
+def numpy_potential_eval(sys: XSystem, x):
+    """V(x) from the prepotential and deforming function; x is a float or a
+    1-d array of points, and the result takes the same form."""
+    import numpy as np
+    xs = _np_interior(sys, x)
+    eta = _np_eta_of_x(sys, xs)
+    xi, dxi, dot2, q, ddot, c1 = (
+        _np_horner(p.float_coeffs(), eta)
+        for p in (sys.xi, sys.xi.derivative(), sys.eta_dot2, sys.Q, sys.eta_ddot, sys.c1)
+    )
+    sgn = sys.c2_sign
+    # a node too near a wall gives inf or nan, silently: tridiag_from_potential names it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = dxi / xi
+        v = _np_v0(sys, xs) + r * (2 * dot2 * r - (2 * q + ddot) + sgn * c1) + sgn * float(sys.xi_tilde_E)
+    return v if np.ndim(x) else float(v[0])
+
+
+def numpy_wavefunction_eval(sys: XSystem, level: int, x):
+    """Unnormalized eigenfunction of the given level; x is a float or a 1-d
+    array of points, and the result takes the same form."""
+    import numpy as np
+    xs = _np_interior(sys, x)
+    P = level_poly(sys, level)
+    s, a, b, c = (w + p for w, p in zip(sys.w0_exponents, sys.p_prefactor))  # e^W0 * prefactor
+    if sys.case.is_laguerre:
+        exp_coeff = float(s)       # coefficient of eta = x^2 in the exponent
+        x_power = float(2 * a)     # eta^k = x^(2k)
+        value = _np_per_node(lambda t: math.exp(exp_coeff * (t * t)) * t ** x_power, xs)
+    else:  # 1 - eta = 2 sin^2 x, 1 + eta = 2 cos^2 x
+        u, v = float(b), float(c)
+        value = _np_per_node(lambda t: (2 * math.sin(t) ** 2) ** u * (2 * math.cos(t) ** 2) ** v, xs)
+    eta = _np_eta_of_x(sys, xs)
+    psi = value * _np_horner(P.float_coeffs(), eta) / _np_horner(sys.xi.float_coeffs(), eta)
+    return psi if np.ndim(x) else float(psi[0])

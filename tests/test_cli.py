@@ -274,6 +274,21 @@ def test_spectrum_infinite_potential_reported_without_numpy_noise():
     assert "(x=1e-203, V=inf)" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command, name", [
+    (["spectrum", "-k", "3"], "spectrum"),
+    (["ortho"], "ortho"),
+    (["plotdata", "--points", "5"], "plotdata"),
+    (["construct", "--format", "csv"], "construct --format csv"),
+])
+def test_parameters_beyond_the_float_range_fail_cleanly(command, name):
+    # admissible for l1, but alpha = 10^400 has no float
+    res = _main(*command, "--case", "l1", "--ell", "1", "--alpha", "1e400")
+    assert res.returncode == 1 and res.stdout == ""
+    assert f"case l1 (ell=1, alpha={10**400}, beta=None)" in res.stderr
+    assert f"the float method of {name} cannot represent" in res.stderr
+    assert "cannot represent these parameters" in res.stderr and "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 @pytest.mark.parametrize("command", ["ortho", "spectrum"])
 def test_non_finite_or_non_positive_tol_rejected(command, tol):

@@ -1,5 +1,5 @@
-"""What importing exopoly loads: numpy only on the first float call, and
-every submodule eagerly."""
+"""What importing exopoly loads: numpy only for the Gram matrix, and every
+submodule eagerly."""
 
 import os
 import subprocess
@@ -67,12 +67,24 @@ def test_exact_commands_load_no_numpy(args):
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2", "-k", "3"],
+    ["plotdata", "--case", "extj", "--ell", "2", "--alpha", "-5/2", "--beta", "-5/2",
+     "--points", "50"],
+    ["verify", "--suite", "spectrum"],
+])
+def test_float_commands_without_gram_load_no_numpy(args):
+    # potentials and wave functions run over plain floats; only gram needs numpy
+    res = _fresh(RUN_MAIN, *args)
+    assert res.returncode == 0, res.stderr
+
+
 def test_type_hints_resolve_without_numpy():
     res = _fresh(
         "import sys, typing\n"
-        "from exopoly.spectral import GridSpec, Tridiag\n"
+        "from exopoly.spectral import GridSpec, Tridiag, tridiag_from_potential\n"
         "from exopoly.systems import XSystem\n"
-        "for obj in (Tridiag, GridSpec.interior, XSystem.eta_of_x):\n"
+        "for obj in (Tridiag, GridSpec.interior, tridiag_from_potential, XSystem):\n"
         "    typing.get_type_hints(obj)\n"
         "assert 'numpy' not in sys.modules")
     assert res.returncode == 0, res.stderr

@@ -197,6 +197,7 @@ def test_nonfinite_potential_names_the_node():
     grid = GridSpec(0.0, 1.0, 100)
 
     def bad(x):
+        x = np.asarray(x)
         return np.where((0.49 < x) & (x < 0.52), np.inf, 0.0)
 
     with pytest.raises(ValueError, match="grid node"):
@@ -320,7 +321,7 @@ def test_operator_residual_on_analytic_eigenfunctions():
     for n_pts in (1000, 2000):
         grid = GridSpec(1e-3, 12.0, n_pts)
         op = discretize(sys, grid)
-        xs = grid.interior()
+        xs = np.asarray(grid.interior())
         h = grid.h
         window = (xs[1:-1] > 0.5) & (xs[1:-1] < 8.0)
         for level in (0, 1):

@@ -30,7 +30,13 @@ from exopoly.systems import (
 )
 from exopoly.verify import REPRESENTATIVE
 
-from oracles import extj_bilinear, j2_direct, substituted
+from oracles import (
+    extj_bilinear,
+    j2_direct,
+    numpy_potential_eval,
+    numpy_wavefunction_eval,
+    substituted,
+)
 
 # canonical admissible parameter points per case, keyed by ell where needed
 L2_ALPHAS = lambda ell: [F(-2 * ell - 1, 2), F(-3 * ell - 4, 3), F(-ell - 3)]
@@ -628,7 +634,7 @@ def test_array_eval_matches_mpmath_on_representative_points():
 
     for case, params in REPRESENTATIVE.items():
         sys = build_system(case, params)
-        xs = default_grid(sys, 200).interior()
+        xs = np.asarray(default_grid(sys, 200).interior())
         got = [potential_eval(sys, xs)] + [wavefunction_eval(sys, k, xs) for k in range(4)]
         ref = []
         with mpmath.workdps(40):
@@ -660,6 +666,58 @@ def test_scalar_input_returns_float():
                          lambda x: wavefunction_eval(sys, 2, x)):
             assert type(evaluate(0.7)) is float
             values = evaluate(xs)
-            assert isinstance(values, np.ndarray) and values.shape == xs.shape
-            # node for node, the array call does the scalar call's arithmetic
-            assert values.tolist() == [evaluate(x) for x in xs.tolist()]
+            assert type(values) is list and len(values) == len(xs)
+            # node for node, the sequence call does the scalar call's arithmetic
+            assert values == [evaluate(x) for x in xs.tolist()]
+
+
+# the five representative points and three with ell = 3, deeper deforming functions
+BIT_POINTS = [
+    *REPRESENTATIVE.items(),
+    (Case.L2, Params(3, F(-13, 3))),
+    (Case.J1, Params(3, F(5, 3), F(-6))),
+    (Case.EXTJ, Params(3, F(-7, 2), F(-3, 4))),
+]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_float_evaluation_bit_identical_to_numpy_oracle():
+    # both spectral grids and the 2000-point plotdata grid, node by node
+    from exopoly.spectral import default_grid
+
+    for case, params in BIT_POINTS:
+        sys = build_system(case, params)
+        grid = default_grid(sys)
+        step = (grid.x_max - grid.x_min) / 1999
+        plot = [grid.x_min + k * step for k in range(2000)]
+        for xs in (grid.interior(), grid.coarse().interior(), plot):
+            arr = np.array(xs)
+            assert _hex(potential_eval(sys, xs)) == _hex(numpy_potential_eval(sys, arr)), case
+            for level in range(5):
+                got = wavefunction_eval(sys, level, xs)
+                assert _hex(got) == _hex(numpy_wavefunction_eval(sys, level, arr)), (case, level)
+
+
+def test_wall_nodes_bit_identical_to_numpy_oracle():
+    # x^2 (or sin^2 x) underflows to 0.0 at the first two nodes, so the
+    # undeformed term g/0 is +inf, -inf or nan by the sign of g; a Python
+    # float division by zero would raise there
+    points = [
+        (Case.L2, Params(1, F(-2))),      # g = 3/4
+        (Case.L1, Params(0, F(-1))),      # g = -1/4
+        (Case.L1, Params(1, F(-1, 2))),   # g = 0
+        (Case.J1, Params(1, F(1, 2), F(-2))),
+    ]
+    xs = [5e-324, 1e-200, 1e-160, 1e-5]
+    for case, params in points:
+        sys = build_system(case, params)
+        got = potential_eval(sys, xs)
+        assert _hex(got) == _hex(numpy_potential_eval(sys, np.array(xs))), case
+        assert _hex(got) == _hex(potential_eval(sys, x) for x in xs), case
+        assert not math.isfinite(got[0]) and not math.isfinite(got[1]), case
+        with np.errstate(all="ignore"):
+            want = numpy_wavefunction_eval(sys, 1, np.array(xs[2:]))
+        assert _hex(wavefunction_eval(sys, 1, xs[2:])) == _hex(want), case
