@@ -31,8 +31,6 @@ from .quadrature import (
     GramReport,
     QuadratureConvergenceError,
     gram,
-    inner_product,
-    integrate,
 )
 from .spectral import (
     GridSpec,
@@ -83,7 +81,7 @@ __all__ = [
     "wavefunction_eval",
     "ParameterError", "NodelessnessError", "ConstructionError",
     # quadrature
-    "integrate", "inner_product", "gram", "GramReport", "QuadratureConvergenceError",
+    "gram", "GramReport", "QuadratureConvergenceError",
     # spectral
     "GridSpec", "Tridiag", "tridiag_from_potential", "discretize",
     "eigen_lowest", "richardson_lowest", "compare_spectrum", "default_grid", "SpectrumReport",

@@ -1,34 +1,33 @@
-"""Numerical inner products under the deformed orthogonality weights.
+"""Normalized Gram matrices under the deformed orthogonality weights.
 
 The closed-form norms of the deformed families involve non-elementary
 integrals, so orthogonality is checked numerically, by tanh-sinh
 (double-exponential) quadrature, which absorbs the algebraic endpoint
 singularities of the weights without case analysis.  Semi-infinite domains
 are brought to (0, 1) by eta = t / (1 - t), which presumes integrands with
-at least exponential decay (true of every weight here).  One shared rule
-serves each Gram matrix: every entry must still pass the adaptive criterion
-under the same node cap, and a failure names the pair of levels.
+at least exponential decay (true of every weight here).  One rule, refined
+level by level, serves each Gram matrix: every entry must pass the adaptive
+criterion under the same node cap, a failure names the pair of levels, and
+an entry beyond the float range names the level.  This is the one module
+that loads numpy, inside the functions that use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .polycore import Interval, Poly
-from .systems import Array, XSystem, _horner, level_poly
+from .systems import XSystem, level_poly
 
 __all__ = [
-    "integrate",
     "QuadratureConvergenceError",
-    "inner_product",
     "gram",
     "GramReport",
 ]
 
-_MAX_NODES = 2 ** 14
-_RTOL = 1e-12  # relative tolerance of each integral and each Gram entry
+_MAX_NODES = 2 ** 14  # refinement stops at the first level that reaches this many nodes
+_RTOL = 1e-12  # relative tolerance of each Gram entry
 _BLOCK = 2048  # nodes per evaluation block: bounds the Phi array
 _ETA_CAP = 1e6  # drop mapped nodes beyond this on semi-infinite domains
 
@@ -44,41 +43,26 @@ class QuadratureConvergenceError(RuntimeError):
         self.nodes = nodes
 
 
-def _tanh_sinh_raw(level: int) -> tuple[Array, Array]:
-    """Abscissa offsets and weights on (-1, 1) at step h = 2^-level.
+def _ts_points(domain: Interval, level: int):
+    """Nodes/weights for one tanh-sinh refinement step on a domain with a
+    finite lower bound.
 
-    Returns (delta, w) where delta > 0 is the distance of the node from the
-    nearer endpoint; the node pair is (-1 + delta, 1 - delta).  Computing the
-    endpoint distance directly keeps full precision where the weight
-    singularities live.  Above level 1 only odd multiples of h are kept (the
-    nodes added when refining level-1 to level).
+    Level 1 is the complete rule at step h = 2^-level = 1/2; above it only
+    the odd multiples of h appear (the nodes absent from level-1), so
+    S(level) = S(level-1)/2 + dot(new weights, new values).  Each node's
+    distance delta from the nearer end of (-1, 1) is computed directly,
+    which keeps full precision where the weight singularities live.
     """
     import numpy as np  # local: exact-only commands must not load numpy
+    lo, hi = float(domain.lo), float(domain.hi)
     h = 2.0 ** (-level)
-    u_max = 4.0
-    j_max = int(u_max / h)
-    u = np.arange(1, j_max + 1, 1 if level == 1 else 2) * h
+    u = np.arange(1, int(4.0 / h) + 1, 1 if level == 1 else 2) * h
     z = 0.5 * math.pi * np.sinh(u)
     # 1 - tanh(z) = 2 / (e^(2z) + 1), cancellation-free
     delta = 2.0 / (np.exp(2 * z) + 1.0)
     w = 0.5 * math.pi * np.cosh(u) / np.cosh(z) ** 2 * h
     keep = delta > 0.0
-    return delta[keep], w[keep]
-
-
-def _ts_points(domain: Interval, level: int):
-    """Nodes/weights for one tanh-sinh refinement step on the domain.
-
-    Level 1 is the complete rule at step h = 1/2; above it only the nodes
-    absent from the level-1 rule appear, so
-    S(level) = S(level-1)/2 + dot(new weights, new values).
-    """
-    import numpy as np
-    lo, hi = float(domain.lo), float(domain.hi)
-    if math.isinf(lo):
-        raise ValueError(f"tanh-sinh needs a finite lower bound, not the domain {domain}")
-    h = 2.0 ** (-level)
-    delta, w = _tanh_sinh_raw(level)
+    delta, w = delta[keep], w[keep]
     if math.isinf(hi):
         # t runs over (0, 1); eta = t/(1-t) maps onto (0, inf), shifted by lo
         d = 0.5 * delta  # distance of t from the nearer endpoint
@@ -107,64 +91,27 @@ def _ts_points(domain: Interval, level: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _refine(domain: Interval, block_sums, rtol: float, where):
-    """The one adaptive tanh-sinh loop, for a scalar or an array of integrals.
-
-    ``block_sums(nodes, weights)`` gives the weighted sums of the integrands
-    and of their absolute values over at most _BLOCK nodes.  Each level adds
-    its new nodes until every entry changes by at most rtol * max(|I|, the
-    integral of |f|), so tiny integrals (orthogonality defects) converge too.
-    At the node cap the error names the first unconverged entry via ``where``.
-    """
-    import numpy as np
-    prev, n_nodes, level = None, 0, 1
-    total = total_abs = 0.0
-    while True:
-        nodes, weights = _ts_points(domain, level)
-        step = [block_sums(nodes[k:k + _BLOCK], weights[k:k + _BLOCK])
-                for k in range(0, len(nodes), _BLOCK)]
-        total = 0.5 * total + sum(b[0] for b in step)
-        total_abs = 0.5 * total_abs + sum(b[1] for b in step)
-        n_nodes += len(nodes)
-        if prev is not None:
-            change = np.abs(total - prev)
-            scale = np.maximum(np.abs(total), total_abs)
-            done = (change <= rtol * scale) | ((scale == 0.0) & (change == 0.0))
-            if done.all():
-                return total
-            if n_nodes >= _MAX_NODES:
-                idx = np.unravel_index(np.argmin(done), done.shape)
-                raise QuadratureConvergenceError(
-                    f"{where(idx)}integration non-convergence at requested tolerance",
-                    achieved=float(total[idx]), last_change=float(change[idx]), nodes=n_nodes,
-                )
-        prev = total
-        level += 1
-
-
-def integrate(f: Callable[[Array], Array], domain: Interval, rtol: float = _RTOL) -> float:
-    """Adaptive tanh-sinh integration of a vectorized integrand; raises
-    QuadratureConvergenceError with the best estimate at the node cap."""
-    import numpy as np
-
-    def block_sums(nodes, weights):
-        vals = np.asarray(f(nodes), dtype=float)
-        return np.dot(weights, vals), np.dot(weights, np.abs(vals))
-
-    return float(_refine(domain, block_sums, rtol, lambda idx: ""))
+def _horner(coeffs: list[float], eta):
+    """Float Horner evaluation of ascending coefficients, as acc * eta + c,
+    at a float or elementwise over an array of nodes."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * eta + c
+    return acc
 
 
 def _phi(sys: XSystem, polys: list[Poly]):
     """Phi[n](eta) = sqrt(w) p_n / xi, one row per polynomial, for an array of
     nodes; sign times exp of a log-space magnitude, so the weight factor
-    neither overflows nor underflows ahead of the polynomials."""
+    neither overflows nor underflows ahead of the polynomials.  A magnitude
+    beyond the float range gives inf, silently: gram reports it."""
     import numpy as np
     w = sys.weight
     s, a, b, c = float(w.s), float(w.a), float(w.b), float(w.c)
     coeffs, cxi = [p.float_coeffs() for p in polys], sys.xi.float_coeffs()
 
-    def phi(eta: Array) -> Array:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    def phi(eta):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_w = s * eta
             if a:
                 log_w = log_w + a * np.log(eta)
@@ -180,12 +127,6 @@ def _phi(sys: XSystem, polys: list[Poly]):
     return phi
 
 
-def inner_product(sys: XSystem, n: int, m: int, rtol: float = _RTOL) -> float:
-    """<p_n, p_m> under the system's orthogonality weight (level-indexed)."""
-    phi = _phi(sys, [level_poly(sys, n), level_poly(sys, m)])
-    return integrate(lambda eta: phi(eta).prod(axis=0), sys.domain_eta, rtol=rtol)
-
-
 @dataclass(frozen=True)
 class GramReport:
     size: int
@@ -197,26 +138,54 @@ def gram(sys: XSystem, N: int) -> GramReport:
     """Normalized Gram matrix of the lowest N levels, on one shared rule.
 
     Entries g_nm = <p_n, p_m> / sqrt(<p_n, p_n> <p_m, p_m>); for the
-    extended Jacobi case level 0 is the constant ground function.  Each level
-    evaluates Phi once per new node and adds (Phi w) Phi^T to every entry.
+    extended Jacobi case level 0 is the constant ground function.  Each
+    tanh-sinh level evaluates Phi once per new node, _BLOCK nodes at a time,
+    and adds (Phi w) Phi^T to every entry, until every entry changes by at
+    most _RTOL * max(|I|, integral of |f|), so tiny integrals (orthogonality
+    defects) converge too.  At the node cap the error names the first
+    unconverged pair; an entry beyond the float range raises OverflowError.
     """
     import numpy as np
     if N < 2:
-        raise ValueError("need at least two levels")
+        raise ValueError(f"{sys.label}: need at least two levels")
     phi = _phi(sys, [level_poly(sys, n) for n in range(N)])
-
-    def block_sums(nodes, weights):
-        # einsum, not a BLAS product: BLAS buffers add ~0.5 MB to a process's peak RSS
-        v = phi(nodes)
-        vw = v * weights
-        return np.einsum("ik,jk->ij", vw, v), np.einsum("ik,jk->ij", np.abs(vw), np.abs(v))
-
-    raw = _refine(sys.domain_eta, block_sums, _RTOL,
-                  lambda idx: f"{sys.label}, pair ({idx[0]}, {idx[1]}): ")
-    raw = np.triu(raw) + np.triu(raw, 1).T
+    prev, n_nodes, level = None, 0, 1
+    total = total_abs = 0.0
+    while True:
+        nodes, weights = _ts_points(sys.domain_eta, level)
+        sums, abs_sums = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(0, len(nodes), _BLOCK):
+                # einsum, not a BLAS product: BLAS buffers add ~0.5 MB to a process's peak RSS
+                v = phi(nodes[k:k + _BLOCK])
+                vw = v * weights[k:k + _BLOCK]
+                sums.append(np.einsum("ik,jk->ij", vw, v))
+                abs_sums.append(np.einsum("ik,jk->ij", np.abs(vw), np.abs(v)))
+                del v, vw  # before the next block's Phi: one block's arrays at a time
+            total = 0.5 * total + sum(sums)
+            total_abs = 0.5 * total_abs + sum(abs_sums)
+        n_nodes += len(nodes)
+        if not np.isfinite(total_abs).all():  # and so at every later level
+            raise OverflowError(f"{sys.label}: Gram entries beyond the float range "
+                                f"at tanh-sinh level {level}")
+        if prev is not None:
+            change = np.abs(total - prev)
+            scale = np.maximum(np.abs(total), total_abs)
+            done = (change <= _RTOL * scale) | ((scale == 0.0) & (change == 0.0))
+            if done.all():
+                break
+            if n_nodes >= _MAX_NODES:
+                i, j = np.unravel_index(np.argmin(done), done.shape)
+                raise QuadratureConvergenceError(
+                    f"{sys.label}, pair ({i}, {j}): integration non-convergence at requested tolerance",
+                    achieved=float(total[i, j]), last_change=float(change[i, j]), nodes=n_nodes,
+                )
+        prev = total
+        level += 1
+    raw = np.triu(total) + np.triu(total, 1).T
     positive = np.diag(raw) > 0
     if not positive.all():
-        raise RuntimeError(f"non-positive norm at level {np.argmin(positive)}")
+        raise RuntimeError(f"{sys.label}: non-positive norm at level {np.argmin(positive)}")
     norms = np.sqrt(np.diag(raw))
     g = raw / np.outer(norms, norms)
     np.fill_diagonal(g, 1.0)

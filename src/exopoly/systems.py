@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Optional
 
 from .classical import TheoremHypothesisError, jacobi, laguerre, nodeless_condition
 from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, rat_str, sturm_count
@@ -55,11 +55,6 @@ __all__ = [
     "potential_eval",
     "wavefunction_eval",
 ]
-
-
-#: a float numpy array in quadrature's annotations, which must not name numpy:
-#: only the Gram matrix loads it, inside the functions that use it
-Array = Any
 
 
 class Case(str, Enum):
@@ -490,16 +485,9 @@ def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
 # order an elementwise float64 array would run it, with the same result
 
 
-def _horner(coeffs: list[float], eta):
-    """Float Horner evaluation of ascending coefficients, as acc * eta + c."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * eta + c
-    return acc
-
-
 def _horner_nodes(coeffs: list[float], etas: list[float]) -> list[float]:
-    """_horner at every node, one coefficient at a time over the whole list."""
+    """Float Horner evaluation of ascending coefficients, as acc * eta + c at
+    every node, one coefficient at a time over the whole list."""
     acc = [0.0] * len(etas)
     for c in reversed(coeffs):
         acc = [a * e + c for a, e in zip(acc, etas)]

@@ -2,9 +2,11 @@
 polynomials for ``systems.exceptional_poly`` and the eigen-equation
 substitution for ``XSystem.residual_operator``, with the quasi-polynomial
 calculus that substitution runs on, plain Sturm-count bisection for
-``spectral.eigen_lowest``, and numpy array evaluation for
-``systems.potential_eval`` and ``systems.wavefunction_eval``; no library
-code calls them.
+``spectral.eigen_lowest``, numpy array evaluation for
+``systems.potential_eval`` and ``systems.wavefunction_eval``, and one
+adaptive tanh-sinh integration per integral (``integrate``,
+``inner_product``) for the shared refinement of ``quadrature.gram``; no
+library code calls them.
 
 A quasi-polynomial is
 
@@ -19,7 +21,8 @@ from fractions import Fraction
 from typing import Callable
 
 from exopoly.classical import jacobi
-from exopoly.polycore import ETA, ONE, Poly, rat
+from exopoly.polycore import ETA, ONE, Interval, Poly, rat
+from exopoly.quadrature import _MAX_NODES, _RTOL, QuadratureConvergenceError, _phi, _ts_points
 from exopoly.systems import XSystem, level_poly
 
 
@@ -329,3 +332,44 @@ def numpy_wavefunction_eval(sys: XSystem, level: int, x):
     eta = _np_eta_of_x(sys, xs)
     psi = value * _np_horner(P.float_coeffs(), eta) / _np_horner(sys.xi.float_coeffs(), eta)
     return psi if np.ndim(x) else float(psi[0])
+
+
+# ---------------------------------------------------------------------------
+# one adaptive tanh-sinh integration per integral, on the library's rule
+# (_ts_points, _phi) and criterion: the per-pair reference for quadrature.gram
+# ---------------------------------------------------------------------------
+
+
+def integrate(f: Callable, domain: Interval, rtol: float = _RTOL) -> float:
+    """Adaptive tanh-sinh integral of a vectorized integrand over a domain
+    with a finite lower bound.  Level by level until the estimate changes by
+    at most rtol * max(|I|, integral of |f|); raises
+    QuadratureConvergenceError with the best estimate at the node cap."""
+    import numpy as np
+    if math.isinf(float(domain.lo)):
+        raise ValueError(f"tanh-sinh needs a finite lower bound, not the domain {domain}")
+    prev, n_nodes, level = None, 0, 1
+    total = total_abs = 0.0
+    while True:
+        nodes, weights = _ts_points(domain, level)
+        vals = np.asarray(f(nodes), dtype=float)
+        total = 0.5 * total + float(np.dot(weights, vals))
+        total_abs = 0.5 * total_abs + float(np.dot(weights, np.abs(vals)))
+        n_nodes += len(nodes)
+        if prev is not None:
+            change = abs(total - prev)
+            scale = max(abs(total), total_abs)
+            if change <= rtol * scale or scale == change == 0.0:
+                return total
+            if n_nodes >= _MAX_NODES:
+                raise QuadratureConvergenceError(
+                    "integration non-convergence at requested tolerance",
+                    achieved=total, last_change=change, nodes=n_nodes)
+        prev = total
+        level += 1
+
+
+def inner_product(sys: XSystem, n: int, m: int, rtol: float = _RTOL) -> float:
+    """<p_n, p_m> under the system's orthogonality weight (level-indexed)."""
+    phi = _phi(sys, [level_poly(sys, n), level_poly(sys, m)])
+    return integrate(lambda eta: phi(eta).prod(axis=0), sys.domain_eta, rtol=rtol)

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 from exopoly.classical import laguerre
 from exopoly.polycore import Poly
-from exopoly.quadrature import gram, inner_product
+from exopoly.quadrature import gram
 from exopoly.spectral import compare_spectrum, default_grid
 from exopoly.systems import (
     Case,
@@ -35,7 +35,7 @@ from exopoly.verify import (
     run_zero_count_suite,
 )
 
-from oracles import j2_direct
+from oracles import inner_product, j2_direct
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

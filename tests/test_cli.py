@@ -279,12 +279,16 @@ def test_spectrum_infinite_potential_reported_without_numpy_noise():
     (["ortho"], "ortho"),
     (["plotdata", "--points", "5"], "plotdata"),
     (["construct", "--format", "csv"], "construct --format csv"),
+    # alpha = 1000 has a float, but the Gram norms overflow it
+    (["ortho", "--nmax", "3", "--alpha", "1000"], "ortho"),
 ])
 def test_parameters_beyond_the_float_range_fail_cleanly(command, name):
-    # admissible for l1, but alpha = 10^400 has no float
-    res = _main(*command, "--case", "l1", "--ell", "1", "--alpha", "1e400")
+    # admissible for l1, but alpha = 10^400 has no float; a later --alpha wins
+    res = _main(command[0], "--case", "l1", "--ell", "1", "--alpha", "1e400", *command[1:])
+    alpha = command[-1] if "--alpha" in command else 10**400
     assert res.returncode == 1 and res.stdout == ""
-    assert f"case l1 (ell=1, alpha={10**400}, beta=None)" in res.stderr
+    assert f"case l1 (ell=1, alpha={alpha}, beta=None)" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
     assert f"the float method of {name} cannot represent" in res.stderr
     assert "cannot represent these parameters" in res.stderr and "Traceback" not in res.stderr
 

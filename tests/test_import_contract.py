@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
     "level_poly", "proportionality", "ode_residual", "potential_eval",
     "wavefunction_eval",
     "ParameterError", "NodelessnessError", "ConstructionError",
-    "integrate", "inner_product", "gram", "GramReport", "QuadratureConvergenceError",
+    "gram", "GramReport", "QuadratureConvergenceError",
     "GridSpec", "Tridiag", "tridiag_from_potential", "discretize",
     "eigen_lowest", "richardson_lowest", "compare_spectrum", "default_grid", "SpectrumReport",
     "SUITES", "run_suite", "VerifyOutcome",

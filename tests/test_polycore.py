@@ -19,7 +19,7 @@ from exopoly.polycore import (
     rat_str,
     sturm_count,
 )
-from exopoly.systems import _horner
+from exopoly.quadrature import _horner
 
 from oracles import IncompatiblePrefactorError, QuasiPoly, quasi_extract
 

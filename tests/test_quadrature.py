@@ -1,6 +1,7 @@
 """Quadrature rules and orthogonality of the deformed families."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,11 +13,11 @@ from exopoly.quadrature import (
     QuadratureConvergenceError,
     gram,
     _ts_points,
-    inner_product,
-    integrate,
 )
 from exopoly.systems import Case, Params, build_system
 from exopoly.verify import REPRESENTATIVE
+
+from oracles import inner_product, integrate
 
 UNIT = Interval(F(0), F(1))
 SYM = Interval(F(-1), F(1))
@@ -29,7 +30,7 @@ HALF_LINE = Interval(F(0), POS_INF)
 
 
 def test_rule_invariants():
-    # the step-2^-5 rule, refined level by level as _refine sums it
+    # the step-2^-5 rule, refined level by level as gram sums it
     total = 0.0
     for level in range(1, 6):
         nodes, weights = _ts_points(UNIT, level)
@@ -108,6 +109,23 @@ def test_gram_nonconvergence_names_case_parameters_pair_and_nodes():
     assert "case j1 (ell=0, alpha=2, beta=-1/2), pair (0, 0):" in msg
     assert f"after {err.value.nodes} nodes" in msg
     assert err.value.nodes >= 2 ** 14
+
+
+def test_gram_beyond_the_float_range_names_the_case():
+    # admissible, but the l1 norms at alpha = 1000 overflow a float: an
+    # OverflowError at the first level, with no numpy warning on the way
+    sys = build_system(Case.L1, Params(1, 1000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as err:
+            gram(sys, 3)
+    assert "case l1 (ell=1, alpha=1000, beta=None)" in str(err.value)
+    assert "level 1" in str(err.value)
+
+
+def test_gram_too_few_levels_names_the_case():
+    with pytest.raises(ValueError, match=r"case l2 \(ell=1, alpha=-2, beta=None\): need at least two"):
+        gram(build_system(Case.L2, Params(1, F(-2))), 1)
 
 
 def test_gram_extj_includes_constant_ground_level():

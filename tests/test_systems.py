@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from exopoly.classical import laguerre
 from exopoly.polycore import Interval, ONE, POS_INF, Poly, sturm_count
+from exopoly.quadrature import _horner
 from exopoly.systems import (
     Case,
     NodelessnessError,
     ParameterError,
     Params,
-    _horner,
     build_system,
     energy,
     exceptional_poly,
