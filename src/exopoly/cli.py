@@ -8,8 +8,7 @@ floats printed with 17 significant digits, fixed random seeds).
 Exit codes: 0 success; 1 invalid input or inadmissible parameters;
 2 verification or computational failure.
 
-numpy loads only for the Gram matrix: ortho and the orthogonality suite of
-verify load it, and no other command does.
+Every command runs over plain Python floats: none loads numpy.
 """
 
 from __future__ import annotations

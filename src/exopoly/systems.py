@@ -480,8 +480,8 @@ def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
 # ---------------------------------------------------------------------------
 # float evaluation over lists of points
 # ---------------------------------------------------------------------------
-# plain Python floats, node by node, so that spectrum and plotdata never load
-# numpy: exp, pow, sin and cos come from libm, and every + - * / runs in the
+# plain Python floats, node by node, so that no command loads numpy: exp,
+# pow, sin and cos come from libm, and every + - * / runs in the
 # order an elementwise float64 array would run it, with the same result
 
 

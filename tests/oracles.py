@@ -3,10 +3,10 @@ polynomials for ``systems.exceptional_poly`` and the eigen-equation
 substitution for ``XSystem.residual_operator``, with the quasi-polynomial
 calculus that substitution runs on, plain Sturm-count bisection for
 ``spectral.eigen_lowest``, numpy array evaluation for
-``systems.potential_eval`` and ``systems.wavefunction_eval``, and one
+``systems.potential_eval`` and ``systems.wavefunction_eval``, and for
+``quadrature.gram`` both its former numpy form (``numpy_gram``) and one
 adaptive tanh-sinh integration per integral (``integrate``,
-``inner_product``) for the shared refinement of ``quadrature.gram``; no
-library code calls them.
+``inner_product``); no library code calls them.
 
 A quasi-polynomial is
 
@@ -22,7 +22,9 @@ from typing import Callable
 
 from exopoly.classical import jacobi
 from exopoly.polycore import ETA, ONE, Interval, Poly, rat
-from exopoly.quadrature import _MAX_NODES, _RTOL, QuadratureConvergenceError, _phi, _ts_points
+from exopoly.quadrature import (
+    _ETA_CAP, _MAX_NODES, _RTOL, GramReport, QuadratureConvergenceError, _phi, _ts_points,
+)
 from exopoly.systems import XSystem, level_poly
 
 
@@ -335,24 +337,152 @@ def numpy_wavefunction_eval(sys: XSystem, level: int, x):
 
 
 # ---------------------------------------------------------------------------
+# the Gram matrix over numpy arrays: quadrature.gram as it was before it moved
+# to plain Python floats, the same code apart from names and docstrings; it
+# drops the nodes that round onto a finite end, so it is a reference only
+# where the weight vanishes at the ends (the REPRESENTATIVE points)
+# ---------------------------------------------------------------------------
+
+_NP_BLOCK = 2048  # nodes per evaluation block: bounds the Phi array
+
+
+def _np_ts_points(domain: Interval, level: int):
+    """Nodes/weights for one tanh-sinh refinement step on a domain with a
+    finite lower bound, over numpy arrays."""
+    import numpy as np
+    lo, hi = float(domain.lo), float(domain.hi)
+    h = 2.0 ** (-level)
+    u = np.arange(1, int(4.0 / h) + 1, 1 if level == 1 else 2) * h
+    z = 0.5 * math.pi * np.sinh(u)
+    # 1 - tanh(z) = 2 / (e^(2z) + 1), cancellation-free
+    delta = 2.0 / (np.exp(2 * z) + 1.0)
+    w = 0.5 * math.pi * np.cosh(u) / np.cosh(z) ** 2 * h
+    keep = delta > 0.0
+    delta, w = delta[keep], w[keep]
+    if math.isinf(hi):
+        # t runs over (0, 1); eta = t/(1-t) maps onto (0, inf), shifted by lo
+        d = 0.5 * delta  # distance of t from the nearer endpoint
+        nodes_list, weights_list = [], []
+        if level == 1:
+            nodes_list.append(np.array([lo + 1.0]))  # t = 1/2
+            weights_list.append(np.array([0.5 * (0.5 * math.pi) * h * 4.0]))
+        eta_lo = d / (1.0 - d)           # t = d
+        jac_lo = 1.0 / (1.0 - d) ** 2
+        eta_hi = (1.0 - d) / d           # t = 1 - d, evaluated cancellation-free
+        jac_hi = 1.0 / (d * d)
+        for eta, jac in ((eta_lo, jac_lo), (eta_hi, jac_hi)):
+            keep = (eta > 0.0) & (eta < _ETA_CAP) & np.isfinite(jac)
+            nodes_list.append(lo + eta[keep])
+            weights_list.append(0.5 * w[keep] * jac[keep])
+        return np.concatenate(nodes_list), np.concatenate(weights_list)
+    half = 0.5 * (hi - lo)
+    xs_lo = lo + half * delta
+    xs_hi = hi - half * delta
+    keep = (xs_lo > lo) & (xs_hi < hi)
+    nodes = [xs_lo[keep], xs_hi[keep]]
+    weights = [half * w[keep], half * w[keep]]
+    if level == 1:
+        nodes.append(np.array([0.5 * (hi + lo)]))
+        weights.append(np.array([half * (0.5 * math.pi) * h]))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _np_phi(sys: XSystem, polys: list[Poly]):
+    """Phi[n](eta) = sqrt(w) p_n / xi, one row per polynomial, for an array of
+    nodes, in log space; endpoint factors by log1p of the node."""
+    import numpy as np
+    w = sys.weight
+    s, a, b, c = float(w.s), float(w.a), float(w.b), float(w.c)
+    coeffs, cxi = [p.float_coeffs() for p in polys], sys.xi.float_coeffs()
+
+    def phi(eta):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_w = s * eta
+            if a:
+                log_w = log_w + a * np.log(eta)
+            if b:
+                log_w = log_w + b * np.log1p(-eta)
+            if c:
+                log_w = log_w + c * np.log1p(eta)
+            vals = np.array([_np_horner(cs, eta) for cs in coeffs])
+            log_half = 0.5 * log_w - np.log(np.abs(_np_horner(cxi, eta)))
+            out = np.sign(vals) * np.exp(log_half + np.log(np.abs(vals)))
+        return np.nan_to_num(out, nan=0.0, posinf=np.inf, neginf=-np.inf)
+
+    return phi
+
+
+def numpy_gram(sys: XSystem, N: int) -> GramReport:
+    """``quadrature.gram`` over numpy arrays, with einsum block products."""
+    import numpy as np
+    if N < 2:
+        raise ValueError(f"{sys.label}: need at least two levels")
+    phi = _np_phi(sys, [level_poly(sys, n) for n in range(N)])
+    prev, n_nodes, level = None, 0, 1
+    total = total_abs = 0.0
+    while True:
+        nodes, weights = _np_ts_points(sys.domain_eta, level)
+        sums, abs_sums = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(0, len(nodes), _NP_BLOCK):
+                v = phi(nodes[k:k + _NP_BLOCK])
+                vw = v * weights[k:k + _NP_BLOCK]
+                sums.append(np.einsum("ik,jk->ij", vw, v))
+                abs_sums.append(np.einsum("ik,jk->ij", np.abs(vw), np.abs(v)))
+                del v, vw
+            total = 0.5 * total + sum(sums)
+            total_abs = 0.5 * total_abs + sum(abs_sums)
+        n_nodes += len(nodes)
+        if not np.isfinite(total_abs).all():
+            raise OverflowError(f"{sys.label}: Gram entries beyond the float range "
+                                f"at tanh-sinh level {level}")
+        if prev is not None:
+            change = np.abs(total - prev)
+            scale = np.maximum(np.abs(total), total_abs)
+            done = (change <= _RTOL * scale) | ((scale == 0.0) & (change == 0.0))
+            if done.all():
+                break
+            if n_nodes >= _MAX_NODES:
+                i, j = np.unravel_index(np.argmin(done), done.shape)
+                raise QuadratureConvergenceError(
+                    f"{sys.label}, pair ({i}, {j}): integration non-convergence at requested tolerance",
+                    achieved=float(total[i, j]), last_change=float(change[i, j]), nodes=n_nodes,
+                )
+        prev = total
+        level += 1
+    raw = np.triu(total) + np.triu(total, 1).T
+    positive = np.diag(raw) > 0
+    if not positive.all():
+        raise RuntimeError(f"{sys.label}: non-positive norm at level {np.argmin(positive)}")
+    norms = np.sqrt(np.diag(raw))
+    g = raw / np.outer(norms, norms)
+    np.fill_diagonal(g, 1.0)
+    max_off = float(np.max(np.abs(g - np.eye(N))))
+    return GramReport(size=N, matrix=tuple(map(tuple, g.tolist())), max_offdiag=max_off)
+
+
+# ---------------------------------------------------------------------------
 # one adaptive tanh-sinh integration per integral, on the library's rule
 # (_ts_points, _phi) and criterion: the per-pair reference for quadrature.gram
 # ---------------------------------------------------------------------------
 
 
 def integrate(f: Callable, domain: Interval, rtol: float = _RTOL) -> float:
-    """Adaptive tanh-sinh integral of a vectorized integrand over a domain
-    with a finite lower bound.  Level by level until the estimate changes by
-    at most rtol * max(|I|, integral of |f|); raises
-    QuadratureConvergenceError with the best estimate at the node cap."""
+    """Adaptive tanh-sinh integral over a domain with a finite lower bound.
+    The integrand is vectorized and called as f(eta, d_lo, d_hi), with the
+    nodes and their distances from the lower and the upper end as numpy
+    arrays, so a factor singular at an end can be taken from the distance.
+    Level by level until the estimate changes by at most
+    rtol * max(|I|, integral of |f|); raises QuadratureConvergenceError with
+    the best estimate at the node cap."""
     import numpy as np
     if math.isinf(float(domain.lo)):
         raise ValueError(f"tanh-sinh needs a finite lower bound, not the domain {domain}")
     prev, n_nodes, level = None, 0, 1
     total = total_abs = 0.0
     while True:
-        nodes, weights = _ts_points(domain, level)
-        vals = np.asarray(f(nodes), dtype=float)
+        nodes, d_lo, d_hi, weights = np.array(list(_ts_points(domain, level))).T
+        vals = np.asarray(f(nodes, d_lo, d_hi), dtype=float)
         total = 0.5 * total + float(np.dot(weights, vals))
         total_abs = 0.5 * total_abs + float(np.dot(weights, np.abs(vals)))
         n_nodes += len(nodes)
@@ -371,5 +501,7 @@ def integrate(f: Callable, domain: Interval, rtol: float = _RTOL) -> float:
 
 def inner_product(sys: XSystem, n: int, m: int, rtol: float = _RTOL) -> float:
     """<p_n, p_m> under the system's orthogonality weight (level-indexed)."""
+    import numpy as np
     phi = _phi(sys, [level_poly(sys, n), level_poly(sys, m)])
-    return integrate(lambda eta: phi(eta).prod(axis=0), sys.domain_eta, rtol=rtol)
+    return integrate(lambda *pts: np.prod(phi(*(p.tolist() for p in pts)), axis=0),
+                     sys.domain_eta, rtol=rtol)

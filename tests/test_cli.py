@@ -188,6 +188,17 @@ def test_ortho_command(runner):
     assert data["gram"][0][0] == 1.0
 
 
+def test_ortho_at_a_limit_circle_point(runner):
+    # the (1+eta)^(-1/2) weight factor comes from each node's distance to
+    # eta = -1, so the nodes that round onto that end keep their weight
+    res = run(runner, "ortho", "--case", "j1", "--ell", "0", "--alpha", "2", "--beta", "-1/2",
+              "--nmax", "12")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["size"] == 12
+    assert float(data["max_offdiag"]) < 1e-12
+
+
 def test_spectrum_command(runner):
     res = run(runner, "spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2",
               "-k", "3", "--points", "1200")

@@ -1,5 +1,4 @@
-"""What importing exopoly loads: numpy only for the Gram matrix, and every
-submodule eagerly."""
+"""What importing exopoly loads: never numpy, and every submodule eagerly."""
 
 import os
 import subprocess
@@ -74,7 +73,17 @@ def test_exact_commands_load_no_numpy(args):
     ["verify", "--suite", "spectrum"],
 ])
 def test_float_commands_without_gram_load_no_numpy(args):
-    # potentials and wave functions run over plain floats; only gram needs numpy
+    # potentials and wave functions run over plain floats
+    res = _fresh(RUN_MAIN, *args)
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["ortho", "--case", "j1", "--ell", "0", "--alpha", "2", "--beta", "-1/2", "--nmax", "12"],
+    ["verify"],
+])
+def test_gram_commands_load_no_numpy(args):
+    # the Gram matrix runs over plain floats too, so no command loads numpy
     res = _fresh(RUN_MAIN, *args)
     assert res.returncode == 0, res.stderr
 
@@ -99,9 +108,10 @@ def test_float_modules_are_imported_eagerly():
 
 
 def test_float_call_in_a_fresh_process():
-    res = _fresh("from exopoly import Case, Params, build_system, gram; "
+    res = _fresh("import sys; from exopoly import Case, Params, build_system, gram; "
                  "rep = gram(build_system(Case('l2'), Params(1, -2)), 3); "
-                 "assert rep.size == 3 and rep.max_offdiag < 1e-10, rep")
+                 "assert rep.size == 3 and rep.max_offdiag < 1e-10, rep; "
+                 "assert 'numpy' not in sys.modules")
     assert res.returncode == 0, res.stderr
 
 

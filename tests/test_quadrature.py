@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from exopoly import quadrature
 from exopoly.polycore import Interval, POS_INF
 from exopoly.quadrature import (
     GramReport,
@@ -17,7 +18,7 @@ from exopoly.quadrature import (
 from exopoly.systems import Case, Params, build_system
 from exopoly.verify import REPRESENTATIVE
 
-from oracles import inner_product, integrate
+from oracles import inner_product, integrate, numpy_gram
 
 UNIT = Interval(F(0), F(1))
 SYM = Interval(F(-1), F(1))
@@ -30,35 +31,52 @@ HALF_LINE = Interval(F(0), POS_INF)
 
 
 def test_rule_invariants():
-    # the step-2^-5 rule, refined level by level as gram sums it
+    # the step-2^-5 rule, refined level by level as gram sums it; a node
+    # next to an end may round onto it, but its distances stay positive
     total = 0.0
     for level in range(1, 6):
-        nodes, weights = _ts_points(UNIT, level)
-        assert np.all(weights > 0)
-        assert np.all((nodes > 0) & (nodes < 1))
-        total = 0.5 * total + float(weights.sum())
+        pts = list(_ts_points(UNIT, level))
+        for x, d_lo, d_hi, w in pts:
+            assert w > 0 and d_lo > 0 and d_hi > 0
+            assert 0 <= x <= 1 and abs(d_lo + d_hi - 1) <= 1e-16
+        total = 0.5 * total + sum(w for *_, w in pts)
     assert abs(total - 1.0) <= 1e-12
 
 
+def test_nodes_carry_endpoint_distances_below_an_ulp():
+    # at level 5 the outermost nodes lie ~1e-37 from each end of (-1, 1):
+    # the nodes round onto the ends, their distances do not
+    pts = list(_ts_points(SYM, 5))
+    assert min(d for _, d, _, _ in pts) < 1e-30
+    assert min(d for _, _, d, _ in pts) < 1e-30
+    assert any(x == -1.0 for x, _, _, _ in pts) and any(x == 1.0 for x, _, _, _ in pts)
+    for x, d_lo, d_hi, _ in pts:
+        assert x - d_lo == -1.0 or d_lo > 0.5
+        assert x + d_hi == 1.0 or d_hi > 0.5
+
+
 def test_finite_interval_examples():
-    assert abs(integrate(lambda x: x, UNIT) - 0.5) <= 1e-14
+    assert abs(integrate(lambda x, *_: x, UNIT) - 0.5) <= 1e-14
     want = (2.0 / 3.0) * 2.0**1.5
-    assert abs(integrate(lambda x: np.sqrt(1 - x), SYM) - want) <= 1e-12 * want
+    assert abs(integrate(lambda x, *_: np.sqrt(1 - x), SYM) - want) <= 1e-12 * want
+    # a singular end factor from the distance: the integral of (1 - x)^(-1/2)
+    want = 2.0 * 2.0**0.5
+    assert abs(integrate(lambda x, lo, hi: hi ** -0.5, SYM) - want) <= 1e-12 * want
 
 
 def test_half_line_decaying_integrand():
-    assert abs(integrate(lambda x: np.exp(-x), HALF_LINE) - 1.0) <= 1e-10
+    assert abs(integrate(lambda x, *_: np.exp(-x), HALF_LINE) - 1.0) <= 1e-10
 
 
 def test_unsupported_combinations():
     with pytest.raises(ValueError, match="finite lower bound"):
-        integrate(lambda x: np.exp(x), Interval(float("-inf"), F(0)))
+        integrate(lambda x, *_: np.exp(x), Interval(float("-inf"), F(0)))
 
 
 def test_nonconvergence_reports_achieved_estimate():
     # logarithmically divergent on the half line: must refuse to converge
     with pytest.raises(QuadratureConvergenceError) as err:
-        integrate(lambda x: 1.0 / (1.0 + x), HALF_LINE)
+        integrate(lambda x, *_: 1.0 / (1.0 + x), HALF_LINE)
     assert math.isfinite(err.value.achieved)
 
 
@@ -101,19 +119,20 @@ def test_gram_reports():
 
 
 def test_gram_nonconvergence_names_case_parameters_pair_and_nodes():
-    # limit-circle point: the (1+eta)^(-1/2) weight factor defeats tanh-sinh
-    sys = build_system(Case.J1, Params(0, F(2), F(-1, 2)))
+    # at N=16 the Horner noise of the Laguerre family members stalls entry
+    # (4, 14) above the relative tolerance (ROADMAP item 1)
+    sys = build_system(Case.L2, Params(1, F(-2)))
     with pytest.raises(QuadratureConvergenceError) as err:
-        gram(sys, 2)
+        gram(sys, 16)
     msg = str(err.value)
-    assert "case j1 (ell=0, alpha=2, beta=-1/2), pair (0, 0):" in msg
+    assert "case l2 (ell=1, alpha=-2, beta=None), pair (4, 14):" in msg
     assert f"after {err.value.nodes} nodes" in msg
     assert err.value.nodes >= 2 ** 14
 
 
 def test_gram_beyond_the_float_range_names_the_case():
     # admissible, but the l1 norms at alpha = 1000 overflow a float: an
-    # OverflowError at the first level, with no numpy warning on the way
+    # OverflowError at the first level, with no warning on the way
     sys = build_system(Case.L1, Params(1, 1000))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -147,31 +166,32 @@ def test_weight_positive_at_all_nodes():
 
     for case, params in REPRESENTATIVE.items():
         sys = build_system(case, params)
-        nodes = np.concatenate([_ts_points(sys.domain_eta, lv)[0] for lv in range(1, 9)])
-        weight = _phi(sys, [ONE])(nodes)[0] ** 2
-        assert np.all(np.isfinite(weight)), case
-        assert np.all(weight >= 0), case
-        representable = nodes < 700.0
-        assert np.all(weight[representable] > 0), case
+        nodes = [p for lv in range(1, 9) for p in _ts_points(sys.domain_eta, lv)]
+        eta, d_lo, d_hi, _ = zip(*nodes)
+        weight = [v * v for v in _phi(sys, [ONE])(eta, d_lo, d_hi)[0]]
+        assert all(map(math.isfinite, weight)), case
+        assert all(w >= 0 for w in weight), case
+        assert all(w > 0 for w, x in zip(weight, eta) if x < 700.0), case
 
 
 def _product_integrand(sys, pn, pm):
-    """weight * pn * pm / xi^2 in log space, straight from the exponents."""
+    """weight * pn * pm / xi^2 in log space, straight from the exponents,
+    with 1 - eta and 1 + eta taken as the node's distances from the ends."""
     s, a, b, c = (float(e) for e in (sys.weight.s, sys.weight.a, sys.weight.b, sys.weight.c))
 
     def log_abs(poly, eta):
         vals = sum(float(k) * eta**i for i, k in enumerate(poly.coeffs))
         return np.log(np.abs(vals)), np.sign(vals)
 
-    def f(eta):
+    def f(eta, d_lo, d_hi):
         with np.errstate(divide="ignore", invalid="ignore"):
             log_w = s * eta
             if a:
                 log_w = log_w + a * np.log(eta)
             if b:
-                log_w = log_w + b * np.log1p(-eta)
+                log_w = log_w + b * np.log(d_hi)
             if c:
-                log_w = log_w + c * np.log1p(eta)
+                log_w = log_w + c * np.log(d_lo)
             ln_n, sg_n = log_abs(pn, eta)
             ln_m, sg_m = log_abs(pm, eta)
             ln_xi, _ = log_abs(sys.xi, eta)
@@ -200,16 +220,18 @@ def test_gram_matches_per_pair_integrals(case, params, N):
         assert rep.matrix[j][i] == rep.matrix[i][j]
 
 
-def test_gram_memory_stays_bounded():
-    # Phi is evaluated in fixed-size node blocks, so even the run to the
-    # node cap (26,141 nodes at this limit-circle point) stays small
+def test_gram_memory_stays_bounded(monkeypatch):
+    # nodes are generated and Phi is evaluated in fixed-size blocks, so even
+    # a run to the node cap (16,385 nodes on (-1, 1), forced by a zero
+    # tolerance) stays small
     import tracemalloc
 
+    monkeypatch.setattr(quadrature, "_RTOL", 0.0)
     sys = build_system(Case.J1, Params(0, F(2), F(-1, 2)))
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureConvergenceError):
-            gram(sys, 12)
+            gram(sys, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,3 +248,41 @@ def test_defect_shrinks_with_refinement_then_plateaus():
         defects.append(abs(val) / math.sqrt(n0 * n2))
     assert defects[-1] < 1e-10
     assert min(defects) <= defects[0] + 1e-12
+
+
+@pytest.mark.parametrize("case, params", REPRESENTATIVE.items())
+def test_gram_matches_former_numpy_gram(case, params):
+    # every weight here vanishes at the finite ends, so the nodes the array
+    # form drops there carry no visible weight; the rest agrees up to libm
+    # and summation order
+    sys = build_system(case, params)
+    got, want = gram(sys, 8), numpy_gram(sys, 8)
+    for row, ref in zip(got.matrix, want.matrix):
+        assert max(abs(x - y) for x, y in zip(row, ref)) <= 1e-12
+    assert abs(got.max_offdiag - want.max_offdiag) <= 1e-12
+
+
+def test_gram_near_a_singular_end_matches_40_digit_quadrature():
+    # (1 - eta)^(-1/3) weight: nodes within an ulp of eta = 1 carry weight;
+    # dropping them put -3.3e-11 into this entry, where 40 digits give -6e-30
+    mpmath = pytest.importorskip("mpmath")
+    from exopoly.systems import level_poly
+
+    sys = build_system(Case.EXTJ, Params(3, F(-2, 3), F(-9, 2)))
+    w = sys.weight
+    assert (w.s, w.a, w.b, w.c) == (0, 0, F(-1, 3), F(7, 2))
+    with mpmath.workdps(40):
+        def ev(poly, x):
+            acc = mpmath.mpf(0)
+            for k in reversed(poly.coeffs):
+                acc = acc * x + mpmath.mpf(k.numerator) / k.denominator
+            return acc
+
+        def inner(p, q):
+            return mpmath.quad(lambda x: (1 - x) ** (mpmath.mpf(-1) / 3) * (1 + x) ** 3.5
+                               * ev(p, x) * ev(q, x) / ev(sys.xi, x) ** 2, [-1, 0, 1])
+
+        p0, p1 = level_poly(sys, 0), level_poly(sys, 1)
+        want = float(inner(p0, p1) / mpmath.sqrt(inner(p0, p0) * inner(p1, p1)))
+    assert abs(want) < 1e-25
+    assert abs(gram(sys, 12).matrix[0][1] - want) <= 1e-13
