@@ -8,11 +8,17 @@ floats printed with 17 significant digits, fixed random seeds).
 Exit codes: 0 success; 1 invalid input or inadmissible parameters;
 2 verification or computational failure.
 
+The point commands (construct, ortho, spectrum, plotdata) share one
+skeleton, `_point_command`: it declares --case/--ell/--alpha/--beta, builds
+the system, and exits 1 on any ValueError (the library's message, led by
+the system's label) or OverflowError (parameters beyond the float range).
+
 Every command runs over plain Python floats: none loads numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import sys as _sys
 from fractions import Fraction
 from itertools import islice
@@ -106,12 +112,6 @@ def _fail(message: str, code: int) -> None:
     _sys.exit(code)
 
 
-def _beyond_floats(sys: XSystem, command: str) -> None:
-    """Exit 1 where the system's parameters overflow a float."""
-    _fail(f"{sys.label}: beyond the float range; the float method of {command} "
-          "cannot represent these parameters", 1)
-
-
 def _parse_rational(text: Optional[str], name: str) -> Optional[Fraction]:
     if text is None:
         return None
@@ -121,15 +121,6 @@ def _parse_rational(text: Optional[str], name: str) -> Optional[Fraction]:
         _fail(f"invalid rational for --{name}: {text!r} (use p/q or a decimal string)", 1)
 
 
-def _build(case_str: str, ell: int, alpha: str, beta: Optional[str]) -> XSystem:
-    a = _parse_rational(alpha, "alpha")
-    b = _parse_rational(beta, "beta")
-    try:
-        return build_system(Case(case_str), Params(ell, a, b))
-    except (ParameterError, NodelessnessError) as exc:
-        _fail(str(exc), 1)
-
-
 def _system_header(sys: XSystem) -> dict:
     return {
         "case": sys.case.value,
@@ -137,9 +128,6 @@ def _system_header(sys: XSystem) -> dict:
         "alpha": sys.params.alpha,
         "beta": sys.params.beta,
     }
-
-
-CASE_CHOICES = click.Choice([c.value for c in Case])
 
 
 @click.group()
@@ -152,24 +140,48 @@ def cli():
     """
 
 
-@cli.command()
-@click.option("--case", "case_str", type=CASE_CHOICES, required=True)
-@click.option("--ell", type=int, required=True, help="Deformation degree (>= 0).")
-@click.option("--alpha", required=True, help="Rational, e.g. -5/2 or -2.5.")
-@click.option("--beta", default=None, help="Rational; Jacobi-family cases only.")
+def _point_command(body):
+    """Register body(sys, **options) as a command on one system point.  An
+    inadmissible point, a ValueError and an OverflowError all exit 1 here,
+    the last two with a message led by the system's label."""
+
+    @cli.command()
+    @click.option("--case", "case_str", type=click.Choice([c.value for c in Case]), required=True)
+    @click.option("--ell", type=int, required=True, help="Deformation degree (>= 0).")
+    @click.option("--alpha", required=True, help="Rational, e.g. -5/2 or -2.5.")
+    @click.option("--beta", default=None, help="Rational; Jacobi-family cases only.")
+    @functools.wraps(body)  # the name, the help text and the body's own options
+    def command(case_str, ell, alpha, beta, **options):
+        a, b = _parse_rational(alpha, "alpha"), _parse_rational(beta, "beta")
+        try:
+            sys = build_system(Case(case_str), Params(ell, a, b))  # Params rejects ell < 0
+        except (ParameterError, NodelessnessError) as exc:
+            _fail(str(exc), 1)
+        try:
+            body(sys, **options)
+        except OverflowError:
+            _fail(f"{sys.label}: beyond the float range; the float method of "
+                  f"{body.__name__} cannot represent these parameters", 1)
+        except ValueError as exc:
+            message = str(exc)
+            _fail(message if message.startswith(sys.label) else f"{sys.label}: {message}", 1)
+
+    return command
+
+
+@_point_command
 @click.option("--n", "n_single", type=int, default=None,
               help="Single polynomial family index.")
 @click.option("--nmax", type=int, default=None,
               help="Emit levels 0..nmax instead of one index.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def construct(case_str, ell, alpha, beta, n_single, nmax, fmt):
+def construct(sys, n_single, nmax, fmt):
     """Build a system: deforming function, polynomials, energies.
 
     With --n the polynomial family index n is reported together with its
     eigenvalue (for case extj that is spectral level n+1: level 0 is the
     constant ground state).  With --nmax all levels 0..nmax are listed.
     """
-    sys = _build(case_str, ell, alpha, beta)
     if n_single is not None and nmax is not None:
         _fail("give only one of --n / --nmax", 1)
     if n_single is None and nmax is None:
@@ -206,16 +218,13 @@ def construct(case_str, ell, alpha, beta, n_single, nmax, fmt):
         return
     lines = ["case,ell,alpha,beta,level,family_index,degree,energy,k,coefficient"]
     p = sys.params
-    try:
-        head = [sys.case.value, str(p.ell), _fmt_float(float(p.alpha)),
-                "" if p.beta is None else _fmt_float(float(p.beta))]
-        for e in levels:
-            fam = "" if e["family_index"] is None else str(e["family_index"])
-            row = head + [str(e["level"]), fam, str(e["degree"]), _fmt_float(float(e["energy"]))]
-            lines += [",".join(row + [str(k), _fmt_float(float(c))])
-                      for k, c in enumerate(e["coefficients"])]
-    except OverflowError:
-        _beyond_floats(sys, "construct --format csv")
+    head = [sys.case.value, str(p.ell), _fmt_float(float(p.alpha)),
+            "" if p.beta is None else _fmt_float(float(p.beta))]
+    for e in levels:
+        fam = "" if e["family_index"] is None else str(e["family_index"])
+        row = head + [str(e["level"]), fam, str(e["degree"]), _fmt_float(float(e["energy"]))]
+        lines += [",".join(row + [str(k), _fmt_float(float(c))])
+                  for k, c in enumerate(e["coefficients"])]
     click.echo("\n".join(lines))
 
 
@@ -240,37 +249,24 @@ def verify(suites, inject):
         _sys.exit(2)
 
 
-@cli.command()
-@click.option("--case", "case_str", type=CASE_CHOICES, required=True)
-@click.option("--ell", type=int, required=True)
-@click.option("--alpha", required=True)
-@click.option("--beta", default=None)
+@_point_command
 @click.option("--nmax", type=int, default=6, help="Levels 0..nmax-1 enter the matrix.")
 @click.option("--tol", type=float, default=1e-10, help="Off-diagonal pass threshold.")
-def ortho(case_str, ell, alpha, beta, nmax, tol):
+def ortho(sys, nmax, tol):
     """Normalized Gram matrix under the deformed weight; exit 2 above --tol."""
     if not 0 < tol < float("inf"):  # a NaN tolerance would pass every check
         _fail("--tol must be finite and > 0", 1)
-    sys = _build(case_str, ell, alpha, beta)
-    if nmax < 2:
-        _fail("--nmax must be >= 2", 1)
     try:
         rep = gram(sys, nmax)
     except QuadratureConvergenceError as exc:
         _fail(f"orthogonality integration failed: {exc}", 2)
-    except OverflowError:
-        _beyond_floats(sys, "ortho")
     _emit_json({**_system_header(sys), "size": rep.size, "max_offdiag": rep.max_offdiag,
                 "gram": [list(row) for row in rep.matrix]})
     if rep.max_offdiag >= tol:
         _sys.exit(2)
 
 
-@cli.command()
-@click.option("--case", "case_str", type=CASE_CHOICES, required=True)
-@click.option("--ell", type=int, required=True)
-@click.option("--alpha", required=True)
-@click.option("--beta", default=None)
+@_point_command
 @click.option("-k", "--levels", "k", type=int, default=5, help="Lowest k levels (<= 10).")
 @click.option("--points", type=int, default=DEFAULT_POINTS,
               help=f"Interior points of the fine grid (>= {MIN_POINTS}); the eigenvalues are "
@@ -278,23 +274,14 @@ def ortho(case_str, ell, alpha, beta, nmax, tol):
 @click.option("--x-min", type=float, default=None)
 @click.option("--x-max", type=float, default=None)
 @click.option("--tol", type=float, default=1e-3, help="Per-level error threshold.")
-def spectrum(case_str, ell, alpha, beta, k, points, x_min, x_max, tol):
+def spectrum(sys, k, points, x_min, x_max, tol):
     """Compare finite-difference eigenvalues with the closed forms."""
     if not 0 < tol < float("inf"):
         _fail("--tol must be finite and > 0", 1)
-    sys = _build(case_str, ell, alpha, beta)
-    if points < MIN_POINTS:
-        _fail(f"{sys.label}, {points}-point grid: the two-grid spectrum needs at least "
-              f"{MIN_POINTS} points", 1)
-    try:
-        base = default_grid(sys, points)
-        grid = GridSpec(base.x_min if x_min is None else x_min,
-                        base.x_max if x_max is None else x_max, points)
-        rep = compare_spectrum(sys, k, grid)
-    except ValueError as exc:
-        _fail(str(exc), 1)
-    except OverflowError:
-        _beyond_floats(sys, "spectrum")
+    base = default_grid(sys, points)
+    grid = GridSpec(base.x_min if x_min is None else x_min,
+                    base.x_max if x_max is None else x_max, points)
+    rep = compare_spectrum(sys, k, grid)
     grid = {"x_min": rep.grid.x_min, "x_max": rep.grid.x_max, "points": rep.grid.points,
             "coarse_points": rep.coarse.points, "boundary": "dirichlet"}
     levels = [{"level": i, "analytic": a, "numeric": v, "error": e}
@@ -355,16 +342,11 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
         _sys.exit(2)
 
 
-@cli.command()
-@click.option("--case", "case_str", type=CASE_CHOICES, required=True)
-@click.option("--ell", type=int, required=True)
-@click.option("--alpha", required=True)
-@click.option("--beta", default=None)
+@_point_command
 @click.option("--nmax", type=int, default=3, help="Wave-function levels 0..nmax.")
 @click.option("--points", type=int, default=500)
-def plotdata(case_str, ell, alpha, beta, nmax, points):
+def plotdata(sys, nmax, points):
     """CSV columns x, V(x), phi_0(x).. phi_nmax(x) over an interior grid."""
-    sys = _build(case_str, ell, alpha, beta)
     if points < 2:
         _fail("--points must be >= 2", 1)
     if nmax < 0:
@@ -373,11 +355,8 @@ def plotdata(case_str, ell, alpha, beta, nmax, points):
     lo, hi = base.x_min, base.x_max
     step = (hi - lo) / (points - 1)
     xs = [lo + k * step for k in range(points)]
-    try:
-        columns = [xs, potential_eval(sys, xs)]
-        columns += [wavefunction_eval(sys, k, xs) for k in range(nmax + 1)]
-    except OverflowError:
-        _beyond_floats(sys, "plotdata")
+    columns = [xs, potential_eval(sys, xs)]
+    columns += [wavefunction_eval(sys, k, xs) for k in range(nmax + 1)]
     header = ["x", "V"] + [f"phi{k}" for k in range(nmax + 1)]
     lines = [",".join(header)]
     for row in zip(*columns):

@@ -289,7 +289,7 @@ def test_spectrum_infinite_potential_reported_without_numpy_noise():
     (["spectrum", "-k", "3"], "spectrum"),
     (["ortho"], "ortho"),
     (["plotdata", "--points", "5"], "plotdata"),
-    (["construct", "--format", "csv"], "construct --format csv"),
+    (["construct", "--format", "csv"], "construct"),
     # alpha = 1000 has a float, but the Gram norms overflow it
     (["ortho", "--nmax", "3", "--alpha", "1000"], "ortho"),
 ])
@@ -302,6 +302,36 @@ def test_parameters_beyond_the_float_range_fail_cleanly(command, name):
     assert "RuntimeWarning" not in res.stderr
     assert f"the float method of {name} cannot represent" in res.stderr
     assert "cannot represent these parameters" in res.stderr and "Traceback" not in res.stderr
+
+
+POINT_COMMANDS = ["construct", "ortho", "spectrum", "plotdata"]
+
+
+def test_point_commands_share_their_point_options():
+    def leading(name):
+        return [(p.name, p.opts, p.required, p.help) for p in cli.commands[name].params[:4]]
+
+    assert [opts for _, opts, _, _ in leading("construct")] == [
+        ["--case"], ["--ell"], ["--alpha"], ["--beta"]]
+    for name in POINT_COMMANDS[1:]:
+        assert leading(name) == leading("construct")
+
+
+@pytest.mark.parametrize("command", [
+    ["ortho", "--nmax", "1"],
+    ["spectrum", "--x-min", "2", "--x-max", "1"],
+], ids=["ortho", "spectrum"])
+def test_point_command_errors_name_the_case(command):
+    res = _main(command[0], "--case", "l2", "--ell", "1", "--alpha", "-2", *command[1:])
+    assert res.returncode == 1 and res.stdout == ""
+    assert "case l2 (ell=1, alpha=-2, beta=None)" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", POINT_COMMANDS)
+def test_point_commands_reject_a_negative_ell(command):
+    res = _main(command, "--case", "l2", "--ell", "-1", "--alpha", "-2")
+    assert res.returncode == 1 and res.stdout == ""
+    assert "ell must be an integer >= 0" in res.stderr and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

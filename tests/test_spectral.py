@@ -189,8 +189,6 @@ def test_newton_slope_is_the_log_determinant_derivative():
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(1.0, 0.5, 500)
-    with pytest.raises(ValueError):
-        GridSpec(0.0, 1.0, 50)
 
 
 def test_nonfinite_potential_names_the_node():
