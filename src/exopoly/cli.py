@@ -13,6 +13,10 @@ skeleton, `_point_command`: it declares --case/--ell/--alpha/--beta, builds
 the system, and exits 1 on any ValueError (the library's message, led by
 the system's label) or OverflowError (parameters beyond the float range).
 
+`verify` runs its suites through `verify.run_suites`: with two usable CPUs
+the float suites (orthogonality, spectrum) run in a forked child while the
+exact suites run in this process.  The output is the same either way.
+
 Every command runs over plain Python floats: none loads numpy.
 """
 
@@ -43,7 +47,7 @@ from .systems import (
     potential_eval,
     wavefunction_eval,
 )
-from .verify import MUTANTS, SUITES, run_suite, zero_count_draws
+from .verify import MUTANTS, SUITES, run_suites, zero_count_draws
 
 __all__ = ["main", "cli"]
 
@@ -239,10 +243,7 @@ def verify(suites, inject):
     names = list(suites) or list(SUITES)
     if inject is not None and "ode-residual" not in names:
         _fail("--inject needs the ode-residual suite (add --suite ode-residual)", 1)
-    outcomes = [
-        run_suite(name, mutant=inject) if name == "ode-residual" else run_suite(name)
-        for name in names
-    ]
+    outcomes = run_suites(names, inject)
     # wall-clock timing is intentionally omitted: output must be byte-stable
     _emit_json([{k: v for k, v in vars(o).items() if k != "elapsed_s"} for o in outcomes])
     if any(not o.passed for o in outcomes):

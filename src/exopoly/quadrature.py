@@ -44,9 +44,13 @@ class QuadratureConvergenceError(RuntimeError):
     def __init__(self, message: str, achieved: float, last_change: float, nodes: int):
         super().__init__(f"{message} after {nodes} nodes "
                          f"(achieved estimate {achieved!r}, last change {last_change!r})")
+        self.message = message
         self.achieved = achieved
         self.last_change = last_change
         self.nodes = nodes
+
+    def __reduce__(self):  # rebuilt from the raw message, so it survives pickling
+        return type(self), (self.message, self.achieved, self.last_change, self.nodes)
 
 
 def _ts_points(domain: Interval, level: int):

@@ -94,6 +94,8 @@ def default_grid(sys: XSystem, points: int = DEFAULT_POINTS) -> GridSpec:
 def tridiag_from_potential(v: Callable[[list[float]], Sequence[float]], grid: GridSpec) -> Tridiag:
     """Central-difference matrix: 2/h^2 + V(x_i) on the diagonal, -1/h^2 off;
     v maps the list of interior nodes x_i to the values V(x_i)."""
+    if grid.points < 1:
+        raise ValueError(f"the grid needs at least one interior point, not {grid.points}")
     h = grid.h
     xs = grid.interior()
     vals = list(map(float, v(xs)))

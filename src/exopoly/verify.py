@@ -6,11 +6,19 @@ command-line verifier); they avoid parameter sets where the deforming
 function is degree-degenerate, which are legal to build but exempt from the
 degree laws.  Each suite runs one fixed grid: its sizes, seeds and
 tolerances are the constants below.
+
+`run_suites` runs several suites.  The float suites (orthogonality,
+spectrum) share no state with the exact ones, so when both kinds are asked
+for and two CPUs are usable, a forked child runs the float suites while the
+calling process runs the exact ones; the outcomes are the same either way.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import sys as _sys
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import cache
@@ -48,6 +56,7 @@ __all__ = [
     "grid_params",
     "grid_systems",
     "run_suite",
+    "run_suites",
     "run_identity_suite",
     "run_xi_equation_suite",
     "run_ode_residual_suite",
@@ -346,3 +355,78 @@ def run_suite(name: str, mutant: Optional[str] = None) -> VerifyOutcome:
     if mutant is not None and name != "ode-residual":
         raise ValueError(f"only the ode-residual suite takes a mutant, not {name!r}")
     return SUITES[name]() if mutant is None else run_ode_residual_suite(mutant)
+
+
+_FLOAT_SUITES = ("orthogonality", "spectrum")
+
+
+def _pin(cpus: set[int]) -> None:
+    if cpus:  # empty where the platform has no affinity calls
+        os.sched_setaffinity(0, cpus)
+
+
+def run_suites(names: Iterable[str], mutant: Optional[str] = None) -> list[VerifyOutcome]:
+    """Run the named suites and return their outcomes in the order of
+    ``names``; ``mutant`` goes to the ode-residual suite.
+
+    When both float and exact suites are named, ``os.fork`` exists, two
+    CPUs are usable and no other thread runs, a forked child runs the float
+    suites while this process runs the exact ones (which share `_grid_at`);
+    otherwise all run here, in order.  An error a float suite raises in the
+    child is raised again here, with its type and message; a child that ends
+    without a result raises RuntimeError.  The child is reaped on every path.
+    """
+    names = list(names)
+
+    def run(selected: list[str]) -> list[VerifyOutcome]:
+        return [run_suite(n, mutant) if n == "ode-residual" else run_suite(n) for n in selected]
+
+    floats = [n for n in names if n in _FLOAT_SUITES]
+    exact = [n for n in names if n not in _FLOAT_SUITES]
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    usable = len(affinity) or os.cpu_count() or 1
+    # a forked copy of a process with other threads may inherit a held lock
+    alone = threading.active_count() == 1
+    if not (floats and exact and hasattr(os, "fork") and usable >= 2 and alone):
+        return run(names)
+    # the halves run on different CPUs: a kernel that does not balance load
+    # across CPUs (as on some VMs) would keep the child on the parent's CPU
+    cpus = sorted(affinity)
+    import pickle  # only this path needs it: not loaded by every command
+
+    _sys.stdout.flush()
+    _sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: send the float outcomes, or the error, and never return
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                _pin(set(cpus[1:]))
+                result = run(floats)
+            except Exception as exc:
+                result = exc
+            data = pickle.dumps(result)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        _pin(set(cpus[:1]))
+        exact_out = run(exact)
+    finally:  # read to EOF before reaping, so a child blocked on a full pipe can finish
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        _pin(affinity)
+    if status != 0:
+        how = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+        raise RuntimeError(f"the float suites {', '.join(floats)} ended without a result ({how})")
+    float_out = pickle.loads(data)  # bytes this program's own child wrote
+    if isinstance(float_out, Exception):
+        raise float_out
+    float_it, exact_it = iter(float_out), iter(exact_out)
+    return [next(float_it if n in _FLOAT_SUITES else exact_it) for n in names]

@@ -1,6 +1,7 @@
 """Quadrature rules and orthogonality of the deformed families."""
 
 import math
+import pickle
 import warnings
 from fractions import Fraction as F
 
@@ -78,6 +79,15 @@ def test_nonconvergence_reports_achieved_estimate():
     with pytest.raises(QuadratureConvergenceError) as err:
         integrate(lambda x, *_: 1.0 / (1.0 + x), HALF_LINE)
     assert math.isfinite(err.value.achieved)
+
+
+def test_convergence_error_survives_pickling():
+    # `exopoly verify` sends a float suite's error from its child process
+    err = QuadratureConvergenceError("pair (0, 0)", 1.0, 2.0, 3)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is QuadratureConvergenceError
+    assert str(back) == str(err) == "pair (0, 0) after 3 nodes (achieved estimate 1.0, last change 2.0)"
+    assert (back.achieved, back.last_change, back.nodes) == (1.0, 2.0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,13 @@ def test_grid_validation():
         GridSpec(1.0, 0.5, 500)
 
 
+@pytest.mark.parametrize("points", [0, -1])
+def test_grid_without_an_interior_point_rejected(points):
+    sys = build_system(Case.L2, Params(1, F(-2)))
+    with pytest.raises(ValueError, match="at least one interior point"):
+        discretize(sys, GridSpec(1e-3, 12.0, points))
+
+
 def test_nonfinite_potential_names_the_node():
     grid = GridSpec(0.0, 1.0, 100)
 

@@ -1,7 +1,12 @@
 """Verification-suite plumbing: grids, outcomes, error paths."""
 
+import os
+import signal
+import threading
+
 import pytest
 
+from exopoly.quadrature import QuadratureConvergenceError
 from exopoly.systems import (
     Case,
     ParameterError,
@@ -20,6 +25,7 @@ from exopoly.verify import (
     grid_params,
     grid_systems,
     run_suite,
+    run_suites,
 )
 
 
@@ -87,3 +93,125 @@ def test_xi_equation_residual_detects_a_wrong_constant():
         assert xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
         # the residual then is xi itself, nonzero
         assert xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E + 1) == sys.xi
+
+
+# ---------------------------------------------------------------------------
+# run_suites: the float suites in a forked child, the exact ones in the caller
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+         and len(os.sched_getaffinity(0)) >= 2),
+    reason="the split needs os.fork and two usable CPUs")
+
+
+def _fields(outcomes):
+    return [{k: v for k, v in vars(o).items() if k != "elapsed_s"} for o in outcomes]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children run_suites forks."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@needs_fork
+@pytest.mark.parametrize("names, mutant", [
+    (list(SUITES), None),
+    (list(SUITES), "p-l2-sign-flip"),
+    (list(SUITES)[::-1] + ["spectrum", "identities"], None),
+])
+def test_run_suites_matches_one_suite_at_a_time(forks, names, mutant):
+    expected = [run_suite(n, mutant) if n == "ode-residual" else run_suite(n) for n in names]
+    cpus = os.sched_getaffinity(0)
+    got = run_suites(names, mutant)
+    assert len(forks) == 1 and os.sched_getaffinity(0) == cpus  # unpinned again
+    assert _fields(got) == _fields(expected)
+
+
+@needs_fork
+def test_a_float_suite_error_is_raised_again_in_the_caller(monkeypatch, forks):
+    err = QuadratureConvergenceError("case l2 (ell=1, alpha=-2, beta=None), pair (4, 14):",
+                                     1.0, 2.0, 25342)
+
+    def stalls():
+        raise err
+
+    monkeypatch.setitem(SUITES, "orthogonality", stalls)
+    with pytest.raises(QuadratureConvergenceError) as caught:
+        run_suites(["xi-equation", "orthogonality"])
+    assert forks and caught.value is not err  # rebuilt from the child's pickle
+    assert str(caught.value) == str(err) and caught.value.nodes == 25342
+
+
+@needs_fork
+def test_an_exact_suite_error_leaves_no_child(monkeypatch, forks):
+    def broken():
+        raise ZeroDivisionError("exact suite broke")
+
+    monkeypatch.setitem(SUITES, "xi-equation", broken)
+    cpus = os.sched_getaffinity(0)
+    with pytest.raises(ZeroDivisionError, match="exact suite broke"):
+        run_suites(["xi-equation", "spectrum"])
+    assert forks and os.sched_getaffinity(0) == cpus
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("death, how", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+], ids=["exit-3", "sigkill"])
+def test_a_child_without_a_result_is_named(monkeypatch, forks, death, how):
+    caller = os.getpid()
+
+    def dies():
+        if os.getpid() == caller:
+            raise AssertionError("the float suites ran in the caller")
+        death()
+
+    monkeypatch.setitem(SUITES, "spectrum", dies)
+    with pytest.raises(RuntimeError) as caught:
+        run_suites(["zero-count", "orthogonality", "spectrum"])
+    assert forks
+    assert str(caught.value) == f"the float suites orthogonality, spectrum ended without a result ({how})"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("names, cpus", [
+    (["spectrum"], {0, 1}),
+    (["orthogonality", "spectrum"], {0, 1}),
+    (["xi-equation", "degree-node"], {0, 1}),
+    (["xi-equation", "spectrum"], {0}),
+])
+def test_run_suites_stays_in_process(monkeypatch, names, cpus):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("run_suites forked"), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert [o.suite for o in run_suites(names)] == names
+    monkeypatch.delattr(os, "fork")  # a platform without fork
+    assert [o.suite for o in run_suites(names)] == names
+
+
+def test_run_suites_does_not_fork_beside_other_threads(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("run_suites forked"), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert [o.suite for o in run_suites(["xi-equation", "orthogonality"])] == [
+            "xi-equation", "orthogonality"]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
