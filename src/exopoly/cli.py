@@ -42,7 +42,7 @@ from .systems import (
     XSystem,
     build_system,
     energy,
-    level_count_offset,
+    family_index,
     level_poly,
     potential_eval,
     wavefunction_eval,
@@ -190,20 +190,19 @@ def construct(sys, n_single, nmax, fmt):
         _fail("give only one of --n / --nmax", 1)
     if n_single is None and nmax is None:
         n_single = 0
-    off = level_count_offset(sys)
     levels = []
     if n_single is not None:
         if n_single < 0:
             _fail("--n must be >= 0", 1)
-        level_indices = [n_single + off]
+        # a ground level below the family puts member n at level n + 1
+        level_indices = [n_single + (family_index(sys, 0) is None)]
     else:
         if nmax < 0:
             _fail("--nmax must be >= 0", 1)
         level_indices = list(range(nmax + 1))
     for lv in level_indices:
         poly = level_poly(sys, lv)
-        fam = None if (off and lv == 0) else lv - off
-        levels.append({"level": lv, "family_index": fam, "degree": poly.degree(),
+        levels.append({"level": lv, "family_index": family_index(sys, lv), "degree": poly.degree(),
                        "energy": energy(sys, lv), "coefficients": list(poly.coeffs)})
     report = {
         **_system_header(sys),

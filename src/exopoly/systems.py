@@ -48,7 +48,7 @@ __all__ = [
     "exceptional_poly",
     "shifted_form_poly",
     "level_poly",
-    "level_count_offset",
+    "family_index",
     "proportionality",
     "ode_residual",
     "xi_equation_residual",
@@ -350,25 +350,25 @@ def family_energy(sys: XSystem, n: int) -> Fraction:
     return 4 * (n * (n - a - b + 1) - ell * (ell + a + b + 1) - a - b)
 
 
-def level_count_offset(sys: XSystem) -> int:
-    """1 for the extended Jacobi case (constant ground level below the
-    polynomial family), else 0."""
-    return 1 if sys.case is Case.EXTJ else 0
+def family_index(sys: XSystem, level: int) -> Optional[int]:
+    """The family member at a spectral level, counted from the ground state.
 
-
-def energy(sys: XSystem, level: int) -> Fraction:
-    """Exact eigenvalue of the given spectral level.
-
-    Levels are counted from the ground state.  For the extended Jacobi case
-    level 0 is the constant-p ground state with E = 0 and level k >= 1 maps
-    to family member k-1; for every other case level n is family member n.
+    For the extended Jacobi case level 0 is the constant-p ground state with
+    E = 0, below the polynomial family, and None is returned for it; level
+    k >= 1 maps to family member k-1.  For every other case level n is
+    family member n.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    off = level_count_offset(sys)
-    if off and level == 0:
-        return Fraction(0)
-    return family_energy(sys, level - off)
+    if sys.case is not Case.EXTJ:
+        return level
+    return level - 1 if level else None
+
+
+def energy(sys: XSystem, level: int) -> Fraction:
+    """Exact eigenvalue of the given spectral level (see `family_index`)."""
+    n = family_index(sys, level)
+    return Fraction(0) if n is None else family_energy(sys, n)
 
 
 def _j1_exceptional(ell: int, n: int, a: Fraction, b: Fraction) -> Poly:
@@ -441,12 +441,8 @@ def shifted_form_poly(sys: XSystem, n: int) -> Poly:
 def level_poly(sys: XSystem, level: int) -> Poly:
     """Polynomial part of the level-th eigenfunction (level 0 of extj is the
     constant function 1)."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    off = level_count_offset(sys)
-    if off and level == 0:
-        return Poly([1])
-    return exceptional_poly(sys, level - off)
+    n = family_index(sys, level)
+    return Poly([1]) if n is None else exceptional_poly(sys, n)
 
 
 def proportionality(p: Poly, q: Poly) -> Fraction:

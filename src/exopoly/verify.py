@@ -1,11 +1,14 @@
 """Verification suites over built-in admissible parameter grids.
 
-Each suite returns a machine-readable outcome record.  The grids below are
+Each suite is a generator of (label, ok, defect) checks, registered by name
+in `SUITES`; `run_suite` is the one driver that runs a suite's checks and
+tallies them into a machine-readable `VerifyOutcome`.  The grids below are
 the canonical admissible points used everywhere (library tests and the
 command-line verifier); they avoid parameter sets where the deforming
 function is degree-degenerate, which are legal to build but exempt from the
 degree laws.  Each suite runs one fixed grid: its sizes, seeds and
-tolerances are the constants below.
+tolerances are the constants below.  The random suites draw their rationals
+through one sampler, `_random_rational`.
 
 `run_suites` runs several suites.  The float suites (orthogonality,
 spectrum) share no state with the exact ones, so when both kinds are asked
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .classical import (
     IDENTITIES,
@@ -57,15 +60,7 @@ __all__ = [
     "grid_systems",
     "run_suite",
     "run_suites",
-    "run_identity_suite",
-    "run_xi_equation_suite",
-    "run_ode_residual_suite",
-    "run_shifted_form_suite",
-    "run_degree_node_suite",
-    "run_zero_count_suite",
     "zero_count_draws",
-    "run_ortho_suite",
-    "run_spectrum_suite",
 ]
 
 
@@ -159,51 +154,31 @@ REPRESENTATIVE = {
 }
 
 
-def _random_rational(rng: random.Random, lo: int, hi: int, max_den: int = 6) -> Fraction:
-    den = rng.randint(1, max_den)
+def _random_rational(rng: random.Random, lo: int, hi: int, den: int) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def _suite(name: str, checks: Iterable[tuple[str, bool, float]]) -> VerifyOutcome:
-    """Run one suite's checks, each a (label, ok, defect) triple.
-
-    The labels of failing checks become the details (the first 10 are
-    kept); the worst defect is the largest one seen.
-    """
-    t0 = time.monotonic()
-    checked = 0
-    worst = 0.0
-    details: list[str] = []
-    for label, ok, defect in checks:
-        checked += 1
-        worst = max(worst, defect)
-        if not ok:
-            details.append(label)
-    return VerifyOutcome(name, not details, checked, len(details), worst,
-                         time.monotonic() - t0, details[:10])
+# each suite yields its checks as (label, ok, defect) triples
+Check = tuple[str, bool, float]
 
 
-def run_identity_suite() -> VerifyOutcome:
+def _identities() -> Iterator[Check]:
     """All derivative/contiguity identities, exact, over random parameters."""
-    def checks():
-        rng = random.Random(_IDENTITY_SEED)
-        for _ in range(_IDENTITY_DRAWS):
-            ell = rng.randint(1, _IDENTITY_MAX_DEGREE)
-            a = _random_rational(rng, -8, 8)
-            b = _random_rational(rng, -8, 8)
-            for name in IDENTITIES:
-                ok = identity_residual(name, ell, a, None if name.startswith("L") else b).is_zero
-                yield f"{name} fails at ell={ell}, alpha={a}, beta={b}", ok, float(not ok)
-    return _suite("identities", checks())
+    rng = random.Random(_IDENTITY_SEED)
+    for _ in range(_IDENTITY_DRAWS):
+        ell = rng.randint(1, _IDENTITY_MAX_DEGREE)
+        a = _random_rational(rng, -8, 8, rng.randint(1, 6))
+        b = _random_rational(rng, -8, 8, rng.randint(1, 6))
+        for name in IDENTITIES:
+            ok = identity_residual(name, ell, a, None if name.startswith("L") else b).is_zero
+            yield f"{name} fails at ell={ell}, alpha={a}, beta={b}", ok, float(not ok)
 
 
-def run_xi_equation_suite() -> VerifyOutcome:
+def _xi_equation() -> Iterator[Check]:
     """The deforming-function equation, exact, for every case and degree."""
-    def checks():
-        for sys in _shared_grid(_XI_ELLS):
-            ok = xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
-            yield f"xi-equation fails: {sys.case.value} {sys.params}", ok, float(not ok)
-    return _suite("xi-equation", checks())
+    for sys in _shared_grid(_XI_ELLS):
+        ok = xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
+        yield f"xi-equation fails: {sys.case.value} {sys.params}", ok, float(not ok)
 
 
 # deliberate defects the ode-residual suite must catch (test harness mode)
@@ -220,59 +195,44 @@ def _mutated_poly(sys: XSystem, n: int, mutant: Optional[str]) -> Optional[Poly]
     return None
 
 
-def run_ode_residual_suite(mutant: Optional[str] = None) -> VerifyOutcome:
-    """Exact eigen-equation residuals across the grid.
-
-    ``mutant`` (one of ``MUTANTS``) injects a deliberate defect to
-    demonstrate that the suite fails loudly; production runs leave it None.
-    """
-    if mutant is not None and mutant not in MUTANTS:
-        raise ValueError(f"unknown mutant {mutant!r}; have {list(MUTANTS)}")
-
-    def checks():
-        for sys in _shared_grid(_ELLS):
-            for n in range(_N_MAX + 1):
-                ok = ode_residual(sys, n, _mutated_poly(sys, n, mutant)).is_zero
-                yield (f"residual nonzero: {sys.case.value} ell={sys.params.ell} "
-                       f"alpha={sys.params.alpha} beta={sys.params.beta} n={n}",
-                       ok, float(not ok))
-    return _suite("ode-residual", checks())
+def _ode_residual(mutant: Optional[str] = None) -> Iterator[Check]:
+    """Exact eigen-equation residuals across the grid, of P_n or of its mutant."""
+    for sys in _shared_grid(_ELLS):
+        for n in range(_N_MAX + 1):
+            ok = ode_residual(sys, n, _mutated_poly(sys, n, mutant)).is_zero
+            yield (f"residual nonzero: {sys.case.value} ell={sys.params.ell} "
+                   f"alpha={sys.params.alpha} beta={sys.params.beta} n={n}",
+                   ok, float(not ok))
 
 
-def run_shifted_form_suite() -> VerifyOutcome:
+def _shifted_form() -> Iterator[Check]:
     """Exact proportionality between the two bilinear forms (nonzero constant)."""
-    def checks():
-        for sys in _shared_grid(_ELLS):
-            if sys.case is Case.EXTJ:
-                continue
-            for n in range(_N_MAX + 1):
-                why = "zero constant"
-                try:
-                    ok = proportionality(exceptional_poly(sys, n), shifted_form_poly(sys, n)) != 0
-                except ValueError as exc:
-                    ok, why = False, exc
-                yield (f"forms not proportional ({why}): {sys.case.value} "
-                       f"{sys.params} n={n}"), ok, float(not ok)
-    return _suite("shifted-form", checks())
+    for sys in _shared_grid(_ELLS):
+        if sys.case is Case.EXTJ:
+            continue
+        for n in range(_N_MAX + 1):
+            why = "zero constant"
+            try:
+                ok = proportionality(exceptional_poly(sys, n), shifted_form_poly(sys, n)) != 0
+            except ValueError as exc:
+                ok, why = False, exc
+            yield (f"forms not proportional ({why}): {sys.case.value} "
+                   f"{sys.params} n={n}"), ok, float(not ok)
 
 
-def run_degree_node_suite() -> VerifyOutcome:
+def _degree_node() -> Iterator[Check]:
     """deg P = ell+n (exceptional) or ell+n+1 with exactly n+1 interior
     roots (extended Jacobi), exact via Sturm counting."""
     unit = Interval(Fraction(-1), Fraction(1))
-
-    def checks():
-        for sys in _shared_grid(_ELLS):
-            ell = sys.params.ell
-            for n in range(_N_MAX + 1):
-                P = exceptional_poly(sys, n)
-                if sys.case is Case.EXTJ:
-                    ok = P.degree() == ell + n + 1 and sturm_count(P, unit) == n + 1
-                else:
-                    ok = P.degree() == ell + n
-                yield (f"degree/node law fails: {sys.case.value} {sys.params} n={n}",
-                       ok, float(not ok))
-    return _suite("degree-node", checks())
+    for sys in _shared_grid(_ELLS):
+        ell = sys.params.ell
+        for n in range(_N_MAX + 1):
+            P = exceptional_poly(sys, n)
+            if sys.case is Case.EXTJ:
+                ok = P.degree() == ell + n + 1 and sturm_count(P, unit) == n + 1
+            else:
+                ok = P.degree() == ell + n
+            yield f"degree/node law fails: {sys.case.value} {sys.params} n={n}", ok, float(not ok)
 
 
 def zero_count_draws(seed: int) -> Iterator[tuple[str, int, Fraction, Optional[Fraction]]]:
@@ -281,80 +241,87 @@ def zero_count_draws(seed: int) -> Iterator[tuple[str, int, Fraction, Optional[F
     alpha's denominator.  ``zeros --sweep`` and the zero-count suite draw
     from this one stream."""
     rng = random.Random(seed)
-
-    def rational(den: int) -> Fraction:
-        return Fraction(rng.randint(-10 * den, 6 * den), den)
-
     while True:
         kind = rng.choice(("laguerre", "jacobi"))
         n = rng.randint(1, 8)
         den = rng.randint(1, 6)
-        a = rational(den)
+        a = _random_rational(rng, -10, 6, den)
         if kind == "laguerre":
             if not (a.denominator == 1 and -n <= a <= -1):
                 yield kind, n, a, None
         else:
-            b = rational(den)
+            b = _random_rational(rng, -10, 6, den)
             if binomial(n + a, n) * binomial(n + b, n) != 0:
                 yield kind, n, a, b
 
 
-def run_zero_count_suite() -> VerifyOutcome:
+def _zero_count() -> Iterator[Check]:
     """Classical zero-count predictions vs exact Sturm counts on random
     admissible parameters; the ambiguous middle branch is oracle-only and
     therefore excluded here."""
-    def checks():
-        for kind, n, a, b in zero_count_draws(_ZERO_COUNT_SEED):
-            pred = predict_zero_count(kind, n, a, b)
-            if not pred.oracle_resolved:
-                exact = count_zeros_exact(kind, n, a, b)
-                ok = pred.count == exact
-                yield (f"{kind} n={n} alpha={a}: predicted {pred.count}, exact {exact}",
-                       ok, float(not ok))
-    return _suite("zero-count", islice(checks(), _ZERO_COUNT_POINTS))
+    draws = ((d, predict_zero_count(*d)) for d in zero_count_draws(_ZERO_COUNT_SEED))
+    decided = ((d, pred) for d, pred in draws if not pred.oracle_resolved)
+    for (kind, n, a, b), pred in islice(decided, _ZERO_COUNT_POINTS):
+        exact = count_zeros_exact(kind, n, a, b)
+        ok = pred.count == exact
+        yield (f"{kind} n={n} alpha={a} beta={b}: predicted {pred.count}, exact {exact}",
+               ok, float(not ok))
 
 
-def run_ortho_suite() -> VerifyOutcome:
+def _orthogonality() -> Iterator[Check]:
     """Normalized off-diagonal Gram entries below tolerance for every case."""
-    def checks():
-        for case, params in REPRESENTATIVE.items():
-            worst = gram(build_system(case, params), _ORTHO_LEVELS).max_offdiag
-            # fails on >= tol, as `exopoly ortho` and `exopoly spectrum` do
-            yield f"{case.value}: max off-diagonal {worst:.3e}", not worst >= _ORTHO_TOL, worst
-    return _suite("orthogonality", checks())
+    for case, params in REPRESENTATIVE.items():
+        worst = gram(build_system(case, params), _ORTHO_LEVELS).max_offdiag
+        # fails on >= tol, as `exopoly ortho` and `exopoly spectrum` do
+        yield f"{case.value}: max off-diagonal {worst:.3e}", not worst >= _ORTHO_TOL, worst
 
 
-def run_spectrum_suite() -> VerifyOutcome:
+def _spectrum() -> Iterator[Check]:
     """Finite-difference spectra against the closed forms for every case."""
-    def checks():
-        for case, params in REPRESENTATIVE.items():
-            sys = build_system(case, params)
-            worst = compare_spectrum(sys, _SPECTRUM_LEVELS, default_grid(sys)).max_error
-            ok = not worst >= _SPECTRUM_TOL
-            yield f"{case.value}: max eigenvalue error {worst:.3e}", ok, worst
-    return _suite("spectrum", checks())
+    for case, params in REPRESENTATIVE.items():
+        sys = build_system(case, params)
+        worst = compare_spectrum(sys, _SPECTRUM_LEVELS, default_grid(sys)).max_error
+        ok = not worst >= _SPECTRUM_TOL
+        yield f"{case.value}: max eigenvalue error {worst:.3e}", ok, worst
 
 
-SUITES = {
-    "identities": run_identity_suite,
-    "xi-equation": run_xi_equation_suite,
-    "ode-residual": run_ode_residual_suite,
-    "shifted-form": run_shifted_form_suite,
-    "degree-node": run_degree_node_suite,
-    "zero-count": run_zero_count_suite,
-    "orthogonality": run_ortho_suite,
-    "spectrum": run_spectrum_suite,
+SUITES: dict[str, Callable[..., Iterator[Check]]] = {
+    "identities": _identities,
+    "xi-equation": _xi_equation,
+    "ode-residual": _ode_residual,
+    "shifted-form": _shifted_form,
+    "degree-node": _degree_node,
+    "zero-count": _zero_count,
+    "orthogonality": _orthogonality,
+    "spectrum": _spectrum,
 }
 
 
 def run_suite(name: str, mutant: Optional[str] = None) -> VerifyOutcome:
-    """Run one suite on its fixed grid; ``mutant`` (one of ``MUTANTS``) is a
-    defect injected into the ode-residual suite, the only one that takes it."""
+    """Run one suite on its fixed grid and tally its checks.
+
+    ``mutant`` (one of ``MUTANTS``) is a defect injected into the
+    ode-residual suite, the only one that takes it, to show that the suite
+    fails loudly.  The labels of failing checks become the details (the
+    first 10 are kept); the worst defect is the largest one seen.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     if mutant is not None and name != "ode-residual":
         raise ValueError(f"only the ode-residual suite takes a mutant, not {name!r}")
-    return SUITES[name]() if mutant is None else run_ode_residual_suite(mutant)
+    if mutant is not None and mutant not in MUTANTS:
+        raise ValueError(f"unknown mutant {mutant!r}; have {list(MUTANTS)}")
+    t0 = time.monotonic()
+    checked = 0
+    worst = 0.0
+    details: list[str] = []
+    for label, ok, defect in SUITES[name]() if mutant is None else SUITES[name](mutant):
+        checked += 1
+        worst = max(worst, defect)
+        if not ok:
+            details.append(label)
+    return VerifyOutcome(name, not details, checked, len(details), worst,
+                         time.monotonic() - t0, details[:10])
 
 
 _FLOAT_SUITES = ("orthogonality", "spectrum")

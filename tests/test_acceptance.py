@@ -27,12 +27,7 @@ from exopoly.verify import (
     REPRESENTATIVE,
     grid_params,
     grid_systems,
-    run_identity_suite,
-    run_degree_node_suite,
-    run_shifted_form_suite,
-    run_ode_residual_suite,
-    run_xi_equation_suite,
-    run_zero_count_suite,
+    run_suite,
 )
 
 from oracles import inner_product, j2_direct
@@ -46,7 +41,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_identities():
     t0 = time.monotonic()
-    out = run_identity_suite()
+    out = run_suite("identities")
     elapsed = time.monotonic() - t0
     ok = out.passed and elapsed < 5.0
     _report(1, "identity suite", ok,
@@ -57,7 +52,7 @@ def test_criterion_1_identities():
 
 def test_criterion_2_xi_equation():
     t0 = time.monotonic()
-    out = run_xi_equation_suite()
+    out = run_suite("xi-equation")
     elapsed = time.monotonic() - t0
     ok = out.passed and elapsed < 1.0
     _report(2, "deforming-function equation", ok,
@@ -73,7 +68,7 @@ def test_criterion_3_ode_residual():
         and family_energy(sys, 0) == 4
         and ode_residual(sys, 0).is_zero
     )
-    out = run_ode_residual_suite()
+    out = run_suite("ode-residual")
     ok = worked and out.passed
     _report(3, "eigen-equation residuals", ok,
             f"{out.checked} residuals + worked instance")
@@ -82,20 +77,20 @@ def test_criterion_3_ode_residual():
 
 
 def test_criterion_4_shifted_form_equivalence():
-    out = run_shifted_form_suite()
+    out = run_suite("shifted-form")
     _report(4, "bilinear-form equivalence", out.passed, f"{out.checked} pairs")
     assert out.passed, out.details
 
 
 def test_criterion_5_degree_and_node_laws():
-    out = run_degree_node_suite()
+    out = run_suite("degree-node")
     _report(5, "degree and node laws", out.passed, f"{out.checked} polynomials")
     assert out.passed, out.details
 
 
 def test_criterion_6_zero_count_oracle():
     t0 = time.monotonic()
-    out = run_zero_count_suite()
+    out = run_suite("zero-count")
     elapsed = time.monotonic() - t0
     ok = out.passed and elapsed < 10.0
     _report(6, "zero-count oracle agreement", ok,

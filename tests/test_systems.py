@@ -20,6 +20,7 @@ from exopoly.systems import (
     energy,
     exceptional_poly,
     family_energy,
+    family_index,
     shifted_form_poly,
     level_poly,
     ode_residual,
@@ -223,6 +224,16 @@ def test_extj_level_indexing_and_positivity():
     levels = [energy(sys, k) for k in range(8)]
     assert all(e2 > e1 for e1, e2 in zip(levels, levels[1:]))
     assert all(e > 0 for e in levels[1:])
+
+
+def test_family_index_maps_levels_to_members():
+    extj = build_system(Case.EXTJ, Params(2, F(-5, 2), F(-5, 2)))
+    assert [family_index(extj, k) for k in range(4)] == [None, 0, 1, 2]
+    for case, params in REPRESENTATIVE.items():
+        if case is not Case.EXTJ:
+            assert [family_index(build_system(case, params), k) for k in range(4)] == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="^level must be nonnegative$"):
+        family_index(extj, -1)
 
 
 def test_negative_level_is_rejected_as_a_level():

@@ -1,11 +1,13 @@
 """Verification-suite plumbing: grids, outcomes, error paths."""
 
+import hashlib
 import os
 import signal
 import threading
 
 import pytest
 
+from exopoly import verify
 from exopoly.quadrature import QuadratureConvergenceError
 from exopoly.systems import (
     Case,
@@ -86,6 +88,28 @@ def test_ode_residual_takes_a_stand_in_polynomial():
     for mutant in MUTANTS:
         for n in range(4):
             assert not ode_residual(sys, n, poly=_mutated_poly(sys, n, mutant)).is_zero
+
+
+def test_zero_count_failures_name_beta(monkeypatch):
+    monkeypatch.setattr(verify, "count_zeros_exact", lambda kind, n, a, b: -1)
+    out = run_suite("zero-count")
+    assert out.failures == out.checked == 200
+    jacobi = [d for d in out.details if d.startswith("jacobi")]
+    assert jacobi and all(" beta=" in d for d in jacobi)
+
+
+def test_identity_draws_are_pinned(monkeypatch):
+    # every identity holds, so only the arguments show a change in the sampler
+    seen, real = [], verify.identity_residual
+
+    def record(name, ell, alpha, beta=None):
+        seen.append(f"{name} {ell} {alpha} {beta}")
+        return real(name, ell, alpha, beta)
+
+    monkeypatch.setattr(verify, "identity_residual", record)
+    assert run_suite("identities").passed and len(seen) == 200
+    assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == (
+        "d8e163da04d840ccfd913dc9798e9944df5716359fe441672ee6b345b6b33c0c")
 
 
 def test_xi_equation_residual_detects_a_wrong_constant():
