@@ -7,84 +7,40 @@ them three independent ways: exact polynomial identities, numerical
 orthogonality under the deformed weights, and a finite-difference eigensolver.
 """
 
-from .classical import (
-    IDENTITIES,
-    TheoremHypothesisError,
-    ZeroCountPrediction,
-    binomial,
-    jacobi,
-    jacobi_is_degree_degenerate,
-    klein_E,
-    laguerre,
-    nodeless_condition,
-    predict_zero_count,
-)
-from .polycore import (
-    ETA,
-    IndeterminateRootCountError,
-    Interval,
-    Poly,
-    rat,
-    sturm_count,
-)
-from .quadrature import (
-    GramReport,
-    QuadratureConvergenceError,
-    gram,
-)
-from .spectral import (
-    GridSpec,
-    SpectrumReport,
-    Tridiag,
-    compare_spectrum,
-    default_grid,
-    discretize,
-    eigen_lowest,
-    richardson_lowest,
-    tridiag_from_potential,
-)
-from .systems import (
-    Case,
-    ConstructionError,
-    NodelessnessError,
-    ParameterError,
-    Params,
-    WeightExponents,
-    XSystem,
-    build_system,
-    energy,
-    exceptional_poly,
-    family_energy,
-    shifted_form_poly,
-    level_poly,
-    ode_residual,
-    potential_eval,
-    proportionality,
-    wavefunction_eval,
-)
-from .verify import SUITES, VerifyOutcome, run_suite
+# every layer is loaded with the package: perfbench/tracer.py reads them from
+# sys.modules right after import and rebinds their functions in place
+from . import classical, polycore, quadrature, spectral, systems, verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # exact core
-    "rat", "Poly", "ETA", "Interval", "sturm_count", "IndeterminateRootCountError",
-    # classical families
-    "laguerre", "jacobi", "jacobi_is_degree_degenerate", "binomial",
-    "IDENTITIES", "klein_E", "predict_zero_count",
-    "nodeless_condition", "ZeroCountPrediction", "TheoremHypothesisError",
-    # systems
-    "Case", "Params", "XSystem", "WeightExponents",
-    "build_system", "energy", "family_energy", "exceptional_poly", "shifted_form_poly",
-    "level_poly", "proportionality", "ode_residual", "potential_eval",
-    "wavefunction_eval",
-    "ParameterError", "NodelessnessError", "ConstructionError",
-    # quadrature
-    "gram", "GramReport", "QuadratureConvergenceError",
-    # spectral
-    "GridSpec", "Tridiag", "tridiag_from_potential", "discretize",
-    "eigen_lowest", "richardson_lowest", "compare_spectrum", "default_grid", "SpectrumReport",
-    # verification suites
-    "SUITES", "run_suite", "VerifyOutcome",
-]
+# each public name once, under the module that defines it, in __all__'s order
+_EXPORTS = {
+    "polycore": ("rat", "Poly", "ETA", "Interval", "sturm_count",
+                 "IndeterminateRootCountError"),
+    "classical": ("laguerre", "jacobi", "jacobi_is_degree_degenerate", "binomial",
+                  "IDENTITIES", "klein_E", "predict_zero_count", "nodeless_condition",
+                  "ZeroCountPrediction", "TheoremHypothesisError"),
+    "systems": ("Case", "Params", "XSystem", "WeightExponents", "build_system", "energy",
+                "family_energy", "exceptional_poly", "shifted_form_poly", "level_poly",
+                "proportionality", "ode_residual", "potential_eval", "wavefunction_eval",
+                "ParameterError", "NodelessnessError", "ConstructionError"),
+    "quadrature": ("gram", "GramReport", "QuadratureConvergenceError"),
+    "spectral": ("GridSpec", "Tridiag", "tridiag_from_potential", "discretize",
+                 "eigen_lowest", "richardson_lowest", "compare_spectrum", "default_grid",
+                 "SpectrumReport"),
+    "verify": ("SUITES", "run_suite", "VerifyOutcome"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    """Resolve a public name from its submodule at each access (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

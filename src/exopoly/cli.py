@@ -11,7 +11,8 @@ Exit codes: 0 success; 1 invalid input or inadmissible parameters;
 The point commands (construct, ortho, spectrum, plotdata) share one
 skeleton, `_point_command`: it declares --case/--ell/--alpha/--beta, builds
 the system, and exits 1 on any ValueError (the library's message, led by
-the system's label) or OverflowError (parameters beyond the float range).
+the system's label) or OverflowError (parameters beyond the float range,
+followed by the library's reason when that is led by the label).
 
 `verify` runs its suites through `verify.run_suites`: with two usable CPUs
 the float suites (orthogonality, spectrum) run in a forked child while the
@@ -163,9 +164,12 @@ def _point_command(body):
             _fail(str(exc), 1)
         try:
             body(sys, **options)
-        except OverflowError:
+        except OverflowError as exc:
+            # a labelled message names where it overflowed, e.g. the quadrature level
+            message = str(exc)
+            where = message[len(sys.label):] if message.startswith(sys.label) else ""
             _fail(f"{sys.label}: beyond the float range; the float method of "
-                  f"{body.__name__} cannot represent these parameters", 1)
+                  f"{body.__name__} cannot represent these parameters{where}", 1)
         except ValueError as exc:
             message = str(exc)
             _fail(message if message.startswith(sys.label) else f"{sys.label}: {message}", 1)
@@ -303,10 +307,12 @@ def spectrum(sys, k, points, x_min, x_max, tol):
 @click.option("--seed", type=int, default=7)
 def zeros(kind, ell, alpha, beta, sweep, seed):
     """Zero-count predictions vs exact Sturm counts; exit 2 on a mismatch."""
+    # exactly one form: a complete single query, or a sweep with no query options
+    if sweep is None and None in (kind, ell, alpha) or (
+            sweep is not None and (kind, ell, alpha, beta) != (None,) * 4):
+        _fail("give --kind/--ell/--alpha (and --beta for jacobi), or --sweep N", 1)
     rows = []
     if sweep is None:
-        if kind is None or ell is None or alpha is None:
-            _fail("give --kind/--ell/--alpha (and --beta for jacobi), or --sweep N", 1)
         a = _parse_rational(alpha, "alpha")
         b = _parse_rational(beta, "beta")
         if kind == "jacobi" and b is None:

@@ -84,10 +84,12 @@ _ORTHO_LEVELS, _ORTHO_TOL = 8, 1e-10
 _SPECTRUM_LEVELS, _SPECTRUM_TOL = 5, 1e-3
 
 
-def _l2_alphas(ell: int) -> list[Fraction]:
-    return [Fraction(-2 * ell - 1, 2), Fraction(-3 * ell - 4, 3), Fraction(-ell - 3)]
+def _below(ell: int) -> tuple[Fraction, ...]:
+    """The canonical points below -ell: l2's alphas, j1's betas and j2's alphas."""
+    return Fraction(-2 * ell - 1, 2), Fraction(-3 * ell - 4, 3), Fraction(-ell - 3)
 
 
+_J1_ALPHAS = (Fraction(1, 2), Fraction(0), Fraction(5, 3))
 _L1_ALPHAS = [Fraction(-1, 2), Fraction(1, 2), Fraction(7, 3)]
 
 _EXTJ_POINTS = {
@@ -102,25 +104,17 @@ _EXTJ_POINTS = {
 }
 
 
-def _j1_points(ell: int) -> list[tuple[Fraction, Fraction]]:
-    return [
-        (Fraction(1, 2), Fraction(-2 * ell - 1, 2)),
-        (Fraction(0), Fraction(-3 * ell - 4, 3)),
-        (Fraction(5, 3), Fraction(-ell - 3)),
-    ]
-
-
 def grid_params(case: Case, ell: int) -> list[Params]:
     """Canonical admissible parameter points for one case and degree."""
     case = Case(case)
     if case is Case.L2:
-        return [Params(ell, a) for a in _l2_alphas(ell)]
+        return [Params(ell, a) for a in _below(ell)]
     if case is Case.L1:
         return [Params(ell, a) for a in _L1_ALPHAS]
     if case is Case.J1:
-        return [Params(ell, a, b) for a, b in _j1_points(ell)]
+        return [Params(ell, a, b) for a, b in zip(_J1_ALPHAS, _below(ell))]
     if case is Case.J2:
-        return [Params(ell, b, a) for a, b in _j1_points(ell)]
+        return [Params(ell, b, a) for a, b in zip(_J1_ALPHAS, _below(ell))]
     if ell not in _EXTJ_POINTS:
         raise ValueError(f"no canonical extj parameter points for ell={ell}")
     return [Params(ell, a, b) for a, b in _EXTJ_POINTS[ell]]

@@ -236,6 +236,15 @@ def test_zeros_requires_arguments(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--kind", "laguerre"), ("--ell", "2"), ("--alpha", "1/2"), ("--beta", "1/2"),
+])
+def test_zeros_sweep_rejects_single_query_options(runner, option, value):
+    res = run(runner, "zeros", "--sweep", "2", option, value)
+    assert res.exit_code == 1
+    assert "--kind/--ell/--alpha" in res.output and "--sweep N" in res.output
+
+
 def test_zeros_laguerre_query_rejects_beta(runner):
     res = run(runner, "zeros", "--kind", "laguerre", "--ell", "3", "--alpha", "1/2",
               "--beta", "1/2")
@@ -302,6 +311,22 @@ def test_parameters_beyond_the_float_range_fail_cleanly(command, name):
     assert "RuntimeWarning" not in res.stderr
     assert f"the float method of {name} cannot represent" in res.stderr
     assert "cannot represent these parameters" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_a_labelled_overflow_keeps_its_level():
+    res = _main("ortho", "--case", "l1", "--ell", "1", "--alpha", "200", "--nmax", "3")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("case l1 (ell=1, alpha=200, beta=None): beyond the float "
+                                 "range; the float method of ortho cannot represent")
+    assert "tanh-sinh level 1" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_an_unlabelled_overflow_prints_the_generic_sentence_only():
+    # alpha = 10^400 overflows float(), whose message carries no label
+    res = _main("plotdata", "--case", "l1", "--ell", "1", "--alpha", "1e400", "--points", "5")
+    assert res.returncode == 1
+    assert res.stderr.endswith("beta=None): beyond the float range; the float method of "
+                               "plotdata cannot represent these parameters\n")
 
 
 POINT_COMMANDS = ["construct", "ortho", "spectrum", "plotdata"]

@@ -1,4 +1,5 @@
-"""What importing exopoly loads: never numpy, and every submodule eagerly."""
+"""What importing exopoly loads and binds: never numpy, every submodule eagerly,
+and each public name, resolved from the submodule that defines it."""
 
 import os
 import subprocess
@@ -118,3 +119,25 @@ def test_float_call_in_a_fresh_process():
 def test_public_names_unchanged():
     assert set(exopoly.__all__) == PUBLIC_NAMES
     assert all(hasattr(exopoly, name) for name in PUBLIC_NAMES)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    res = _fresh("import sys, exopoly\n"
+                 "before = set(globals()) | {'before'}\n"
+                 "from exopoly import *\n"
+                 "assert set(globals()) - before == set(exopoly.__all__)\n"
+                 "assert 'numpy' not in sys.modules")
+    assert res.returncode == 0, res.stderr
+
+
+def test_names_resolve_from_their_submodules():
+    res = _fresh("import sys, exopoly\n"
+                 "assert set(exopoly.__all__) <= set(dir(exopoly))\n"
+                 "assert exopoly.gram is exopoly.quadrature.gram\n"
+                 "try:\n"
+                 "    exopoly.no_such_name\n"
+                 "except AttributeError as exc:\n"
+                 "    assert \"'exopoly'\" in str(exc), exc\n"
+                 "else:\n"
+                 "    sys.exit('no AttributeError')")
+    assert res.returncode == 0, res.stderr
