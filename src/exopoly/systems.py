@@ -477,8 +477,8 @@ def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
 # float evaluation over lists of points
 # ---------------------------------------------------------------------------
 # plain Python floats, node by node, so that no command loads numpy: exp,
-# pow, sin and cos come from libm, and every + - * / runs in the
-# order an elementwise float64 array would run it, with the same result
+# pow, sin and cos come from libm, and every + - * / keeps its order, so
+# the printed floats stay byte-identical to tests/golden_stdout.json
 
 
 def _horner_nodes(coeffs: list[float], etas: list[float]) -> list[float]:

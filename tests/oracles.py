@@ -2,11 +2,11 @@
 polynomials for ``systems.exceptional_poly`` and the eigen-equation
 substitution for ``XSystem.residual_operator``, with the quasi-polynomial
 calculus that substitution runs on, plain Sturm-count bisection for
-``spectral.eigen_lowest``, numpy array evaluation for
-``systems.potential_eval`` and ``systems.wavefunction_eval``, and for
-``quadrature.gram`` both its former numpy form (``numpy_gram``) and one
-adaptive tanh-sinh integration per integral (``integrate``,
-``inner_product``); no library code calls them.
+``spectral.eigen_lowest``, polynomials exact at a float node (``exact_at``)
+and 40-digit mpmath wave functions and potentials for the float evaluators,
+and for ``quadrature.gram`` a fixed-level reference of exact node values
+(``gram_reference``) and one adaptive tanh-sinh integration per integral
+(``integrate``, ``inner_product``); no library code calls them.
 
 A quasi-polynomial is
 
@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import mpmath
+
 from exopoly.classical import jacobi
 from exopoly.polycore import ETA, ONE, Interval, Poly, rat
-from exopoly.quadrature import (
-    _ETA_CAP, _MAX_NODES, _RTOL, GramReport, QuadratureConvergenceError, _phi, _ts_points,
-)
-from exopoly.systems import XSystem, level_poly
+from exopoly.quadrature import _MAX_NODES, _RTOL, QuadratureConvergenceError, _phi, _ts_points
+from exopoly.systems import XSystem, energy, level_poly
 
 
 class IncompatiblePrefactorError(ValueError):
@@ -249,216 +249,66 @@ def bisection_richardson(operator, grid, k: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# potentials and wave functions over numpy arrays: the float evaluators as
-# they were before they moved to plain Python floats, kept verbatim apart
-# from the names and from XSystem.eta_of_x, now the function _np_eta_of_x
+# float-layer references sharing no evaluation code with src/: polynomials
+# exact at a float node, 40-digit mpmath, and a fixed-level Gram matrix
 # ---------------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
+
+def exact_at(poly: Poly, x: float) -> float:
+    """poly at the float node x, rounded once: a float is a dyadic rational
+    p/q, so Horner over integers on p and the powers of q loses nothing."""
+    p, q = float(x).as_integer_ratio()
+    den, acc, qk = math.lcm(*(c.denominator for c in poly.coeffs)), 0, 1
+    for c in reversed(poly.coeffs):
+        acc, qk = acc * p + c.numerator * (den // c.denominator) * qk, qk * q
+    return float(Fraction(acc * q, den * qk))
 
 
-def _np_eta_of_x(sys: XSystem, x):
-    return x * x if sys.case.is_laguerre else _np_per_node(math.cos, 2 * x)
+def _mpf(r: Fraction):
+    return mpmath.mpf(r.numerator) / r.denominator
 
 
-def _np_per_node(f: Callable[[float], float], t):
-    """f node by node, so exp, pow, sin and cos come from libm: numpy's own
-    differ from it in the last ulp on some nodes, and printed values must not."""
-    import numpy as np
-    return np.fromiter(map(f, t.tolist()), float, len(t))
-
-
-def _np_horner(coeffs: list[float], eta):
-    """Float Horner evaluation of ascending coefficients, as acc * eta + c."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * eta + c
-    return acc
-
-
-def _np_interior(sys: XSystem, x):
-    """x as a 1-d float array, every node inside the open physical domain."""
-    import numpy as np
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = float(sys.domain_x.lo), float(sys.domain_x.hi)
-    bad = np.flatnonzero(~((lo < xs) & (xs < hi)))
-    if bad.size:
-        raise ValueError(f"x={float(xs[bad[0]])} outside the open physical domain ({lo}, {hi})")
-    return xs
-
-
-def _np_v0(sys: XSystem, x):
-    """The undeformed part W0'^2 + W0'' of the potential, over an array."""
-    a = sys.params.alpha
-    g = float((a + _HALF) * (a + Fraction(3, 2)))
+def mp_wavefunction(sys: XSystem, level: int, x):
+    """The level's eigenfunction at x in mpmath's working precision, from the
+    exponents w0_exponents + p_prefactor and the exact P and xi."""
+    x = mpmath.mpf(x)
+    s, a, b, c = (_mpf(w + p) for w, p in zip(sys.w0_exponents, sys.p_prefactor))
     if sys.case.is_laguerre:
-        return x * x + g / (x * x) - 2 * sys.c2_sign * float(a)
-    b = sys.params.beta
-    h = float((b + _HALF) * (b + Fraction(3, 2)))
-    s, c = _np_per_node(math.sin, x), _np_per_node(math.cos, x)
-    return g / (s * s) + h / (c * c) - float(a + b + 1) ** 2
+        eta, value = x * x, mpmath.exp(s * x * x) * x ** (2 * a)
+    else:
+        eta, value = mpmath.cos(2 * x), (2 * mpmath.sin(x) ** 2) ** b * (2 * mpmath.cos(x) ** 2) ** c
+    horner = lambda poly: mpmath.polyval([_mpf(k) for k in reversed(poly.coeffs)], eta)
+    return value * horner(level_poly(sys, level)) / horner(sys.xi)
 
 
-def numpy_potential_eval(sys: XSystem, x):
-    """V(x) from the prepotential and deforming function; x is a float or a
-    1-d array of points, and the result takes the same form."""
-    import numpy as np
-    xs = _np_interior(sys, x)
-    eta = _np_eta_of_x(sys, xs)
-    xi, dxi, dot2, q, ddot, c1 = (
-        _np_horner(p.float_coeffs(), eta)
-        for p in (sys.xi, sys.xi.derivative(), sys.eta_dot2, sys.Q, sys.eta_ddot, sys.c1)
-    )
-    sgn = sys.c2_sign
-    # a node too near a wall gives inf or nan, silently: tridiag_from_potential names it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r = dxi / xi
-        v = _np_v0(sys, xs) + r * (2 * dot2 * r - (2 * q + ddot) + sgn * c1) + sgn * float(sys.xi_tilde_E)
-    return v if np.ndim(x) else float(v[0])
+def mp_potential(sys: XSystem, x):
+    """V = E0 + psi0''/psi0 at x in mpmath's working precision (mpmath.diff)."""
+    psi0 = lambda t: mp_wavefunction(sys, 0, t)
+    return _mpf(energy(sys, 0)) + mpmath.diff(psi0, mpmath.mpf(x), 2) / psi0(mpmath.mpf(x))
 
 
-def numpy_wavefunction_eval(sys: XSystem, level: int, x):
-    """Unnormalized eigenfunction of the given level; x is a float or a 1-d
-    array of points, and the result takes the same form."""
-    import numpy as np
-    xs = _np_interior(sys, x)
-    P = level_poly(sys, level)
-    s, a, b, c = (w + p for w, p in zip(sys.w0_exponents, sys.p_prefactor))  # e^W0 * prefactor
-    if sys.case.is_laguerre:
-        exp_coeff = float(s)       # coefficient of eta = x^2 in the exponent
-        x_power = float(2 * a)     # eta^k = x^(2k)
-        value = _np_per_node(lambda t: math.exp(exp_coeff * (t * t)) * t ** x_power, xs)
-    else:  # 1 - eta = 2 sin^2 x, 1 + eta = 2 cos^2 x
-        u, v = float(b), float(c)
-        value = _np_per_node(lambda t: (2 * math.sin(t) ** 2) ** u * (2 * math.cos(t) ** 2) ** v, xs)
-    eta = _np_eta_of_x(sys, xs)
-    psi = value * _np_horner(P.float_coeffs(), eta) / _np_horner(sys.xi.float_coeffs(), eta)
-    return psi if np.ndim(x) else float(psi[0])
+def gram_reference(sys: XSystem, N: int, level: int = 7) -> list[list[float]]:
+    """Normalized Gram matrix of the lowest N levels by the tanh-sinh rule of
+    one fixed level on the library's nodes (``_ts_points``), with p_n and xi
+    exact at each node: a reference only where that level has converged."""
+    w, polys, terms = sys.weight, [level_poly(sys, n) for n in range(N)], []
+    for k in range(1, level + 1):
+        for eta, d_lo, d_hi, weight in _ts_points(sys.domain_eta, k):
+            log_w = float(w.s) * eta + sum(float(e) * math.log(d) for e, d
+                                           in ((w.a, eta), (w.b, d_hi), (w.c, d_lo)) if e)
+            factor = math.exp(0.5 * log_w) / exact_at(sys.xi, eta)  # sqrt(w) / xi
+            terms.append((0.5 ** (level - k) * weight, [factor * exact_at(p, eta) for p in polys]))
+    raw = [[math.fsum(wt * v[i] * v[j] for wt, v in terms) for j in range(N)] for i in range(N)]
+    return [[raw[i][j] / math.sqrt(raw[i][i] * raw[j][j]) for j in range(N)] for i in range(N)]
 
 
-# ---------------------------------------------------------------------------
-# the Gram matrix over numpy arrays: quadrature.gram as it was before it moved
-# to plain Python floats, the same code apart from names and docstrings; it
-# drops the nodes that round onto a finite end, so it is a reference only
-# where the weight vanishes at the ends (the REPRESENTATIVE points)
-# ---------------------------------------------------------------------------
-
-_NP_BLOCK = 2048  # nodes per evaluation block: bounds the Phi array
-
-
-def _np_ts_points(domain: Interval, level: int):
-    """Nodes/weights for one tanh-sinh refinement step on a domain with a
-    finite lower bound, over numpy arrays."""
-    import numpy as np
-    lo, hi = float(domain.lo), float(domain.hi)
-    h = 2.0 ** (-level)
-    u = np.arange(1, int(4.0 / h) + 1, 1 if level == 1 else 2) * h
-    z = 0.5 * math.pi * np.sinh(u)
-    # 1 - tanh(z) = 2 / (e^(2z) + 1), cancellation-free
-    delta = 2.0 / (np.exp(2 * z) + 1.0)
-    w = 0.5 * math.pi * np.cosh(u) / np.cosh(z) ** 2 * h
-    keep = delta > 0.0
-    delta, w = delta[keep], w[keep]
-    if math.isinf(hi):
-        # t runs over (0, 1); eta = t/(1-t) maps onto (0, inf), shifted by lo
-        d = 0.5 * delta  # distance of t from the nearer endpoint
-        nodes_list, weights_list = [], []
-        if level == 1:
-            nodes_list.append(np.array([lo + 1.0]))  # t = 1/2
-            weights_list.append(np.array([0.5 * (0.5 * math.pi) * h * 4.0]))
-        eta_lo = d / (1.0 - d)           # t = d
-        jac_lo = 1.0 / (1.0 - d) ** 2
-        eta_hi = (1.0 - d) / d           # t = 1 - d, evaluated cancellation-free
-        jac_hi = 1.0 / (d * d)
-        for eta, jac in ((eta_lo, jac_lo), (eta_hi, jac_hi)):
-            keep = (eta > 0.0) & (eta < _ETA_CAP) & np.isfinite(jac)
-            nodes_list.append(lo + eta[keep])
-            weights_list.append(0.5 * w[keep] * jac[keep])
-        return np.concatenate(nodes_list), np.concatenate(weights_list)
-    half = 0.5 * (hi - lo)
-    xs_lo = lo + half * delta
-    xs_hi = hi - half * delta
-    keep = (xs_lo > lo) & (xs_hi < hi)
-    nodes = [xs_lo[keep], xs_hi[keep]]
-    weights = [half * w[keep], half * w[keep]]
-    if level == 1:
-        nodes.append(np.array([0.5 * (hi + lo)]))
-        weights.append(np.array([half * (0.5 * math.pi) * h]))
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _np_phi(sys: XSystem, polys: list[Poly]):
-    """Phi[n](eta) = sqrt(w) p_n / xi, one row per polynomial, for an array of
-    nodes, in log space; endpoint factors by log1p of the node."""
-    import numpy as np
-    w = sys.weight
-    s, a, b, c = float(w.s), float(w.a), float(w.b), float(w.c)
-    coeffs, cxi = [p.float_coeffs() for p in polys], sys.xi.float_coeffs()
-
-    def phi(eta):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_w = s * eta
-            if a:
-                log_w = log_w + a * np.log(eta)
-            if b:
-                log_w = log_w + b * np.log1p(-eta)
-            if c:
-                log_w = log_w + c * np.log1p(eta)
-            vals = np.array([_np_horner(cs, eta) for cs in coeffs])
-            log_half = 0.5 * log_w - np.log(np.abs(_np_horner(cxi, eta)))
-            out = np.sign(vals) * np.exp(log_half + np.log(np.abs(vals)))
-        return np.nan_to_num(out, nan=0.0, posinf=np.inf, neginf=-np.inf)
-
-    return phi
-
-
-def numpy_gram(sys: XSystem, N: int) -> GramReport:
-    """``quadrature.gram`` over numpy arrays, with einsum block products."""
-    import numpy as np
-    if N < 2:
-        raise ValueError(f"{sys.label}: need at least two levels")
-    phi = _np_phi(sys, [level_poly(sys, n) for n in range(N)])
-    prev, n_nodes, level = None, 0, 1
-    total = total_abs = 0.0
-    while True:
-        nodes, weights = _np_ts_points(sys.domain_eta, level)
-        sums, abs_sums = [], []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(0, len(nodes), _NP_BLOCK):
-                v = phi(nodes[k:k + _NP_BLOCK])
-                vw = v * weights[k:k + _NP_BLOCK]
-                sums.append(np.einsum("ik,jk->ij", vw, v))
-                abs_sums.append(np.einsum("ik,jk->ij", np.abs(vw), np.abs(v)))
-                del v, vw
-            total = 0.5 * total + sum(sums)
-            total_abs = 0.5 * total_abs + sum(abs_sums)
-        n_nodes += len(nodes)
-        if not np.isfinite(total_abs).all():
-            raise OverflowError(f"{sys.label}: Gram entries beyond the float range "
-                                f"at tanh-sinh level {level}")
-        if prev is not None:
-            change = np.abs(total - prev)
-            scale = np.maximum(np.abs(total), total_abs)
-            done = (change <= _RTOL * scale) | ((scale == 0.0) & (change == 0.0))
-            if done.all():
-                break
-            if n_nodes >= _MAX_NODES:
-                i, j = np.unravel_index(np.argmin(done), done.shape)
-                raise QuadratureConvergenceError(
-                    f"{sys.label}, pair ({i}, {j}): integration non-convergence at requested tolerance",
-                    achieved=float(total[i, j]), last_change=float(change[i, j]), nodes=n_nodes,
-                )
-        prev = total
-        level += 1
-    raw = np.triu(total) + np.triu(total, 1).T
-    positive = np.diag(raw) > 0
-    if not positive.all():
-        raise RuntimeError(f"{sys.label}: non-positive norm at level {np.argmin(positive)}")
-    norms = np.sqrt(np.diag(raw))
-    g = raw / np.outer(norms, norms)
-    np.fill_diagonal(g, 1.0)
-    max_off = float(np.max(np.abs(g - np.eye(N))))
-    return GramReport(size=N, matrix=tuple(map(tuple, g.tolist())), max_offdiag=max_off)
+def seed_flipped_coeff(monkeypatch, poly: Poly) -> None:
+    """The defect each accuracy test must catch: ``Poly.float_coeffs`` of poly,
+    and of no other polynomial, flips the sign of its lowest nonzero term."""
+    cs, float_coeffs = poly.float_coeffs(), Poly.float_coeffs
+    k = next(i for i, c in enumerate(cs) if c)
+    cs[k] = -cs[k]
+    monkeypatch.setattr(Poly, "float_coeffs", lambda p: list(cs) if p == poly else float_coeffs(p))
 
 
 # ---------------------------------------------------------------------------

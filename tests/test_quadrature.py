@@ -19,7 +19,7 @@ from exopoly.quadrature import (
 from exopoly.systems import Case, Params, build_system
 from exopoly.verify import REPRESENTATIVE
 
-from oracles import inner_product, integrate, numpy_gram
+from oracles import gram_reference, inner_product, integrate, seed_flipped_coeff
 
 UNIT = Interval(F(0), F(1))
 SYM = Interval(F(-1), F(1))
@@ -261,15 +261,20 @@ def test_defect_shrinks_with_refinement_then_plateaus():
 
 
 @pytest.mark.parametrize("case, params", REPRESENTATIVE.items())
-def test_gram_matches_former_numpy_gram(case, params):
-    # every weight here vanishes at the finite ends, so the nodes the array
-    # form drops there carry no visible weight; the rest agrees up to libm
-    # and summation order
+def test_gram_matches_exact_node_reference(case, params, monkeypatch):
+    # gram stops by tanh-sinh level 7 on each of these points; the reference
+    # sums that level's rule with every level function exact at its nodes
+    from exopoly.systems import level_poly
+
     sys = build_system(case, params)
-    got, want = gram(sys, 8), numpy_gram(sys, 8)
-    for row, ref in zip(got.matrix, want.matrix):
-        assert max(abs(x - y) for x, y in zip(row, ref)) <= 1e-12
-    assert abs(got.max_offdiag - want.max_offdiag) <= 1e-12
+    want = gram_reference(sys, 8)
+
+    def worst():
+        return max(abs(x - y) for row, ref in zip(gram(sys, 8).matrix, want) for x, y in zip(row, ref))
+
+    assert worst() <= 1e-13
+    seed_flipped_coeff(monkeypatch, level_poly(sys, 3))
+    assert worst() > 1e-13
 
 
 def test_gram_near_a_singular_end_matches_40_digit_quadrature():

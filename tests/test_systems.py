@@ -2,8 +2,10 @@
 
 import math
 import random
+import statistics
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,11 +33,12 @@ from exopoly.systems import (
 from exopoly.verify import REPRESENTATIVE
 
 from oracles import (
-    _np_horner,
+    exact_at,
     extj_bilinear,
     j2_direct,
-    numpy_potential_eval,
-    numpy_wavefunction_eval,
+    mp_potential,
+    mp_wavefunction,
+    seed_flipped_coeff,
     substituted,
 )
 
@@ -451,22 +454,24 @@ def test_l2_ell0_potential_closed_form():
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_l2_potential_matches_direct_rational_form():
+def test_l2_potential_matches_direct_rational_form(monkeypatch):
     alpha, ell = F(-2), 1
     sys = build_system(Case.L2, Params(ell, alpha))
     a = float(alpha)
-    x = np.array([0.33, 1.0, 2.2, 3.7])
-    eta = x * x
-    xi = _np_horner(sys.xi.float_coeffs(), eta)
-    r = _np_horner(sys.xi.derivative().float_coeffs(), eta) / xi
-    explicit = (
-        x * x
-        + (a + 0.5) * (a + 1.5) / (x * x)
-        + 8 * r * (eta * (r - 1) + a + 0.5)
-        + 2 * (2 * ell - a)
-    )
-    got = potential_eval(sys, x)
-    assert np.all(np.abs(got - explicit) <= 1e-12 * np.maximum(1.0, np.abs(explicit)))
+    xs = [0.33, 1.0, 2.2, 3.7]
+    explicit = []
+    for x in xs:
+        eta = x * x
+        r = exact_at(sys.xi.derivative(), eta) / exact_at(sys.xi, eta)
+        explicit.append(x * x + (a + 0.5) * (a + 1.5) / (x * x)
+                        + 8 * r * (eta * (r - 1) + a + 0.5) + 2 * (2 * ell - a))
+
+    def worst():
+        return max(abs(g - e) / max(1.0, abs(e)) for g, e in zip(potential_eval(sys, xs), explicit))
+
+    assert worst() <= 1e-12
+    seed_flipped_coeff(monkeypatch, sys.xi)
+    assert worst() > 1e-12
 
 
 def test_j1_potential_finite_inside():
@@ -484,17 +489,19 @@ def test_out_of_domain_rejected():
             wavefunction_eval(sys, 0, x)
 
 
-def test_extj_ground_state_assembly():
+def test_extj_ground_state_assembly(monkeypatch):
     sys = build_system(Case.EXTJ, Params(2, F(-5, 2), F(-5, 2)))
     assert level_poly(sys, 0) == ONE
-    x = np.array([0.3, 0.8, 1.2])
-    want = (
-        (2 * np.sin(x) ** 2)
-        * (2 * np.cos(x) ** 2)
-        / _np_horner(sys.xi.float_coeffs(), np.cos(2 * x))
-    )
-    got = wavefunction_eval(sys, 0, x)
-    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    xs = [0.3, 0.8, 1.2]
+    want = [2 * math.sin(x) ** 2 * (2 * math.cos(x) ** 2) / exact_at(sys.xi, math.cos(2 * x))
+            for x in xs]
+
+    def worst():
+        return max(abs(g - w) / abs(w) for g, w in zip(wavefunction_eval(sys, 0, xs), want))
+
+    assert worst() <= 1e-13
+    seed_flipped_coeff(monkeypatch, ONE)
+    assert worst() > 1e-13
 
 
 def test_l2_wavefunction_small_x_asymptote():
@@ -568,36 +575,6 @@ def test_high_degree_stress():
                 assert proportionality(P, shifted_form_poly(sys, n)) == 1
 
 
-def _mp(fr):
-    import mpmath
-
-    return mpmath.mpf(fr.numerator) / fr.denominator
-
-
-def _phi_mp(sys, level, x):
-    """The level's eigenfunction assembled in mpmath arithmetic at mpf x."""
-    import mpmath
-
-    def horner(poly, t):
-        acc = mpmath.mpf(0)
-        for c in reversed(poly.coeffs):
-            acc = acc * t + _mp(c)
-        return acc
-
-    P = level_poly(sys, level)
-    ps, pa, pb, pc = sys.p_prefactor
-    ws, wa, wb, wc = sys.w0_exponents
-    if sys.case.is_laguerre:
-        eta = x * x
-        val = mpmath.exp(_mp(ws + ps) * eta) * x ** _mp(2 * (wa + pa))
-    else:
-        eta = mpmath.cos(2 * x)
-        u = 2 * mpmath.sin(x) ** 2
-        v = 2 * mpmath.cos(x) ** 2
-        val = u ** _mp(wb + pb) * v ** _mp(wc + pc)
-    return val * horner(P, eta) / horner(sys.xi, eta)
-
-
 def test_schrodinger_equation_pointwise_oracle():
     """High-precision check that -phi'' + V phi = E phi at sample points.
 
@@ -605,8 +582,6 @@ def test_schrodinger_equation_pointwise_oracle():
     numerically at 40 digits, fully independently of the residual algebra;
     only V comes from the binary64 evaluator (so ~1e-13 relative floor).
     """
-    import mpmath
-
     mpmath.mp.dps = 40
 
     cases = [
@@ -620,7 +595,7 @@ def test_schrodinger_equation_pointwise_oracle():
         sys = build_system(case, params)
         for level in (0, 2):
             E = float(energy(sys, level))
-            phi = lambda t: _phi_mp(sys, level, mpmath.mpf(t))
+            phi = lambda t: mp_wavefunction(sys, level, t)
             d2 = float(mpmath.diff(phi, mpmath.mpf(x0), 2))
             v = potential_eval(sys, x0)
             p0 = float(phi(mpmath.mpf(x0)))
@@ -631,6 +606,20 @@ def test_schrodinger_equation_pointwise_oracle():
             assert abs(wavefunction_eval(sys, level, x0) - p0) <= 1e-12 * max(abs(p0), 1e-30)
 
 
+def _worst(got, ref):
+    """max |got - ref| / (|ref| + median |ref|) over one column of values: the
+    median term keeps a zero of a wave function from asking relative accuracy."""
+    scale = statistics.median(map(abs, ref))
+    return max(abs(g - r) / (abs(r) + scale) for g, r in zip(got, ref))
+
+
+def _references(sys, xs, levels):
+    """V, then psi of each level, at the nodes xs: 40-digit mpmath, rounded."""
+    with mpmath.workdps(40):
+        return [[float(mp_potential(sys, x)) for x in xs]] + [
+            [float(mp_wavefunction(sys, level, x)) for x in xs] for level in levels]
+
+
 def test_array_eval_matches_mpmath_on_representative_points():
     """V and psi_0..3 over 200 interior nodes against 40-digit mpmath.
 
@@ -638,8 +627,6 @@ def test_array_eval_matches_mpmath_on_representative_points():
     against |reference| plus its median magnitude, so a node of a wave
     function does not demand relative accuracy at a zero.
     """
-    import mpmath
-
     from exopoly.spectral import default_grid
     from exopoly.verify import REPRESENTATIVE
 
@@ -647,17 +634,8 @@ def test_array_eval_matches_mpmath_on_representative_points():
         sys = build_system(case, params)
         xs = np.asarray(default_grid(sys, 200).interior())
         got = [potential_eval(sys, xs)] + [wavefunction_eval(sys, k, xs) for k in range(4)]
-        ref = []
-        with mpmath.workdps(40):
-            e0 = _mp(energy(sys, 0))
-            phi0 = lambda t: _phi_mp(sys, 0, t)
-            for x in map(mpmath.mpf, xs.tolist()):
-                v = e0 + mpmath.diff(phi0, x, 2) / phi0(x)
-                ref.append([v] + [_phi_mp(sys, k, x) for k in range(4)])
-        ref = np.array(ref, dtype=float).T
-        for col, (g, r) in enumerate(zip(got, ref)):
-            bound = 1e-10 * (np.abs(r) + np.median(np.abs(r)))
-            assert np.all(np.abs(g - r) <= bound), (case, col)
+        for col, (g, r) in enumerate(zip(got, _references(sys, xs.tolist(), range(4)))):
+            assert _worst(g, r) <= 1e-10, (case, col)
 
 
 def test_array_with_out_of_domain_node_names_it():
@@ -695,8 +673,9 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def test_float_evaluation_bit_identical_to_numpy_oracle():
-    # both spectral grids and the 2000-point plotdata grid, node by node
+def test_float_evaluation_matches_40_digit_reference(monkeypatch):
+    # 25 nodes, first to last, of both spectral grids and of the 2000-point
+    # plotdata grid; each column must fail with one float coefficient flipped
     from exopoly.spectral import default_grid
 
     for case, params in BIT_POINTS:
@@ -704,31 +683,43 @@ def test_float_evaluation_bit_identical_to_numpy_oracle():
         grid = default_grid(sys)
         step = (grid.x_max - grid.x_min) / 1999
         plot = [grid.x_min + k * step for k in range(2000)]
-        for xs in (grid.interior(), grid.coarse().interior(), plot):
-            arr = np.array(xs)
-            assert _hex(potential_eval(sys, xs)) == _hex(numpy_potential_eval(sys, arr)), case
-            for level in range(5):
-                got = wavefunction_eval(sys, level, xs)
-                assert _hex(got) == _hex(numpy_wavefunction_eval(sys, level, arr)), (case, level)
+        for nodes in (grid.interior(), grid.coarse().interior(), plot):
+            xs = [nodes[round(i * (len(nodes) - 1) / 24)] for i in range(25)]
+            ref = _references(sys, xs, range(5))
+            got = [potential_eval(sys, xs)] + [wavefunction_eval(sys, level, xs) for level in range(5)]
+            for col, (g, r) in enumerate(zip(got, ref)):
+                assert _worst(g, r) <= 1e-12, (case, col)
+            for col, poly in enumerate([sys.xi] + [level_poly(sys, level) for level in range(5)]):
+                with monkeypatch.context() as m:
+                    seed_flipped_coeff(m, poly)
+                    seeded = potential_eval(sys, xs) if col == 0 else wavefunction_eval(sys, col - 1, xs)
+                    assert _worst(seeded, ref[col]) > 1e-12, (case, col)
 
 
-def test_wall_nodes_bit_identical_to_numpy_oracle():
+def test_wall_nodes_ieee_outcomes_and_40_digit_reference(monkeypatch):
     # x^2 (or sin^2 x) underflows to 0.0 at the first two nodes, so the
     # undeformed term g/0 is +inf, -inf or nan by the sign of g; a Python
-    # float division by zero would raise there
+    # float division by zero would raise there.  At 1e-160 eta is subnormal
+    # or V overflows, so only 1e-5 is held to the reference
     points = [
-        (Case.L2, Params(1, F(-2))),      # g = 3/4
-        (Case.L1, Params(0, F(-1))),      # g = -1/4
-        (Case.L1, Params(1, F(-1, 2))),   # g = 0
-        (Case.J1, Params(1, F(1, 2), F(-2))),
+        (Case.L2, Params(1, F(-2)), "inf"),          # g = 3/4
+        (Case.L1, Params(0, F(-1)), "-inf"),         # g = -1/4
+        (Case.L1, Params(1, F(-1, 2)), "nan"),       # g = 0
+        (Case.J1, Params(1, F(1, 2), F(-2)), "inf"),
     ]
     xs = [5e-324, 1e-200, 1e-160, 1e-5]
-    for case, params in points:
+    for case, params, at_wall in points:
         sys = build_system(case, params)
         got = potential_eval(sys, xs)
-        assert _hex(got) == _hex(numpy_potential_eval(sys, np.array(xs))), case
         assert _hex(got) == _hex(potential_eval(sys, x) for x in xs), case
-        assert not math.isfinite(got[0]) and not math.isfinite(got[1]), case
-        with np.errstate(all="ignore"):
-            want = numpy_wavefunction_eval(sys, 1, np.array(xs[2:]))
-        assert _hex(wavefunction_eval(sys, 1, xs[2:])) == _hex(want), case
+        assert [str(v) for v in got[:2]] == [at_wall] * 2, case
+        ref = _references(sys, xs[3:], [1])
+        assert _worst(got[3:], ref[0]) <= 1e-12, case
+        assert _worst(wavefunction_eval(sys, 1, xs[2:])[1:], ref[1]) <= 1e-12, case
+        if sys.xi.degree():  # at ell = 0 xi is constant, and V reads no polynomial
+            with monkeypatch.context() as m:
+                seed_flipped_coeff(m, sys.xi)
+                assert _worst(potential_eval(sys, xs[3:]), ref[0]) > 1e-12, case
+        with monkeypatch.context() as m:
+            seed_flipped_coeff(m, level_poly(sys, 1))
+            assert _worst(wavefunction_eval(sys, 1, xs[3:]), ref[1]) > 1e-12, case
