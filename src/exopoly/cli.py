@@ -31,6 +31,7 @@ from typing import Optional
 
 import click
 
+from . import __version__
 from .classical import TheoremHypothesisError, count_zeros_exact, predict_zero_count
 from .polycore import rat, rat_str
 from .quadrature import QuadratureConvergenceError, gram
@@ -136,7 +137,7 @@ def _system_header(sys: XSystem) -> dict:
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="exopoly")
+@click.version_option(version=__version__, prog_name="exopoly")
 def cli():
     """Exactly solvable systems built on deformed Laguerre/Jacobi families.
 
@@ -266,7 +267,7 @@ def ortho(sys, nmax, tol):
         _fail(f"orthogonality integration failed: {exc}", 2)
     _emit_json({**_system_header(sys), "size": rep.size, "max_offdiag": rep.max_offdiag,
                 "gram": [list(row) for row in rep.matrix]})
-    if rep.max_offdiag >= tol:
+    if not rep.max_offdiag < tol:  # a NaN fails too
         _sys.exit(2)
 
 
@@ -292,7 +293,7 @@ def spectrum(sys, k, points, x_min, x_max, tol):
               for i, (a, v, e) in enumerate(zip(rep.analytic, rep.numeric, rep.errors))]
     _emit_json({**_system_header(sys), "grid": grid, "levels": levels,
                 "max_error": rep.max_error})
-    if rep.max_error >= tol:
+    if not rep.max_error < tol:
         _sys.exit(2)
 
 

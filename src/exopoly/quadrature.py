@@ -128,7 +128,12 @@ def _phi(sys: XSystem, polys: list[Poly]):
 class GramReport:
     size: int
     matrix: tuple[tuple[float, ...], ...]
-    max_offdiag: float
+
+    @property
+    def max_offdiag(self) -> float:
+        """The largest |off-diagonal entry|, or NaN if any entry is NaN."""
+        offdiag = (abs(x) for i, row in enumerate(self.matrix) for x in row[i + 1:])
+        return max(offdiag, key=lambda x: (x != x, x))
 
 
 def gram(sys: XSystem, N: int) -> GramReport:
@@ -193,5 +198,4 @@ def gram(sys: XSystem, N: int) -> GramReport:
     norms = [math.sqrt(d) for d in diag]
     g = [[1.0 if i == j else raw[min(i, j), max(i, j)] / (norms[i] * norms[j])
           for j in range(N)] for i in range(N)]
-    max_off = max(abs(g[i][j]) for i, j in pairs if i != j)
-    return GramReport(size=N, matrix=tuple(map(tuple, g)), max_offdiag=max_off)
+    return GramReport(size=N, matrix=tuple(map(tuple, g)))

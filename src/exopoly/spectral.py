@@ -253,7 +253,8 @@ class SpectrumReport:
 
     @property
     def max_error(self) -> float:
-        return max(self.errors)
+        """The largest error, or NaN if any error is NaN."""
+        return max(self.errors, key=lambda e: (e != e, e))
 
 
 def richardson_lowest(operator: Callable[[GridSpec], Tridiag], grid: GridSpec, k: int) -> list[float]:

@@ -5,7 +5,8 @@ eta = cos 2x on (0, pi/2)).  It is stated by its case, its parameters, a
 polynomial deforming function xi(eta) and an eigenfunction prefactor; Q, the
 xi-equation coefficients, the potential and the orthogonality weight follow
 from the exponents of the case's prepotential W0.  The wave functions are
-e^W0 / xi times a prefactored polynomial; the energies are exact rationals.
+e^W0 / xi times a prefactored polynomial; the energies are exact rationals,
+built once per system as a polynomial in the family index n.
 
 Cases
 -----
@@ -13,8 +14,8 @@ l2, l1   deformed radial oscillators; xi is a Laguerre polynomial of eta
          (l2) or of -eta (l1), distinguished by the sign choice in the
          second-order coefficient of the xi-equation.
 j1, j2   deformed trigonometric systems on (0, pi/2); xi is a Jacobi
-         polynomial; j2 is the mirror image (eta -> -eta, alpha <-> beta)
-         of j1.
+         polynomial; j2 is j1 mirrored (eta -> -eta, alpha <-> beta), and
+         its polynomials and energies come from j1's through `_as_j1`.
 extj     rationally extended system on (0, pi/2) whose polynomial family
          starts at degree ell+1 above a constant ground level with E = 0.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .classical import TheoremHypothesisError, jacobi, laguerre, nodeless_condition
 from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, rat_str, sturm_count
@@ -162,11 +163,10 @@ class XSystem:
 
     @cached_property
     def Q(self) -> Poly:
-        """eta_dot^2 dW0/deta, with dW0/deta = s + a/eta - b/(1-eta) + c/(1+eta)."""
+        """eta_dot^2 dW0/deta, with dW0/deta = s + a/eta - b/(1-eta) + c/(1+eta);
+        (s, a) vanish on (0, pi/2), (b, c) on the half line."""
         s, a, b, c = self.w0_exponents
-        if self.case.is_laguerre:  # eta_dot^2 = 4 eta
-            return Poly([4 * a, 4 * s])
-        return Poly([4 * (c - b), -4 * (b + c)])  # eta_dot^2 = 4 (1 - eta) (1 + eta)
+        return s * self.eta_dot2 + Poly([4 * (a + c - b), -4 * (b + c)])
 
     @cached_property
     def c1(self) -> Poly:
@@ -183,6 +183,16 @@ class XSystem:
         half = (0, _HALF, 0, 0) if self.case.is_laguerre else (0, 0, _HALF, _HALF)
         return WeightExponents(*(2 * w + 2 * p - h for w, p, h
                                  in zip(self.w0_exponents, self.p_prefactor, half)))
+
+    @cached_property
+    def _energies(self) -> Poly:
+        """E_n of family member n as a polynomial in n, built once per system."""
+        ell, (a, b, _) = self.params.ell, _as_j1(self)
+        if self.case.is_laguerre:
+            return Poly([-4 * (a + ell) if self.case is Case.L2 else 4 * (a + ell + 1), 4])
+        if self.case is Case.EXTJ:
+            return Poly([-self.xi_tilde_E - 4 * (a + b), 4 * (1 - a - b), 4])
+        return Poly([-self.xi_tilde_E - 4 * b * (a + 1), 4 * (a - b + 1), 4])  # j1's, j2's
 
     @cached_property
     def _family(self) -> dict[int, Poly]:
@@ -338,16 +348,7 @@ def family_energy(sys: XSystem, n: int) -> Fraction:
     """Eigenvalue attached to the n-th member of the polynomial family."""
     if n < 0:
         raise ValueError("family index must be nonnegative")
-    ell, a, b = sys.params.ell, sys.params.alpha, sys.params.beta
-    if sys.case is Case.L2:
-        return 4 * (n - a - ell)
-    if sys.case is Case.L1:
-        return 4 * (n + a + ell + 1)
-    if sys.case is Case.J1:
-        return 4 * (n * (n + a - b + 1) - ell * (ell + a + b + 1) - b * (a + 1))
-    if sys.case is Case.J2:
-        return 4 * (n * (n + b - a + 1) - ell * (ell + a + b + 1) - a * (b + 1))
-    return 4 * (n * (n - a - b + 1) - ell * (ell + a + b + 1) - a - b)
+    return sys._energies(n)
 
 
 def family_index(sys: XSystem, level: int) -> Optional[int]:
@@ -371,10 +372,12 @@ def energy(sys: XSystem, level: int) -> Fraction:
     return Fraction(0) if n is None else family_energy(sys, n)
 
 
-def _j1_exceptional(ell: int, n: int, a: Fraction, b: Fraction) -> Poly:
-    xi = jacobi(ell, a, b)
-    U = jacobi(n, a, -b)
-    return Poly([1, 1]) * U * xi.derivative() - (n - b) * jacobi(n, a + 1, -b - 1) * xi
+def _as_j1(sys: XSystem) -> tuple[Fraction, Fraction, Callable[[Poly], Poly]]:
+    """(alpha, beta) as j1's formulas take them, and the map that carries
+    their polynomials back: j2 is j1 mirrored, eta -> -eta with alpha <->
+    beta (Jacobi parity, DLMF 18.6.1); any other case gets its own and the identity."""
+    a, b = sys.params.alpha, sys.params.beta
+    return (b, a, Poly.compose_neg) if sys.case is Case.J2 else (a, b, lambda p: p)
 
 
 def exceptional_poly(sys: XSystem, n: int) -> Poly:
@@ -394,23 +397,18 @@ def exceptional_poly(sys: XSystem, n: int) -> Poly:
 
 
 def _exceptional(sys: XSystem, n: int) -> Poly:
-    ell, a, b = sys.params.ell, sys.params.alpha, sys.params.beta
+    ell, (a, b, back) = sys.params.ell, _as_j1(sys)
     if sys.case is Case.L2:
         U = laguerre(n, -a)
         return ETA * U * sys.xi.derivative() + (a - n) * laguerre(n, -a - 1) * sys.xi
     if sys.case is Case.L1:
-        U = laguerre(n, a)
-        return U * sys.xi.derivative() + laguerre(n, a + 1) * sys.xi
-    if sys.case is Case.J1:
-        return _j1_exceptional(ell, n, a, b)
-    if sys.case is Case.J2:
-        return _j1_exceptional(ell, n, b, a).compose_neg()
-    # extj: reduced bilinear form in xi at shifted and unshifted parameters
-    V = jacobi(n, -a, -b)
-    return (
-        (ell + b) * Poly([1, -1]) * V * jacobi(ell, a + 1, b - 1)
-        + (n - a) * Poly([1, 1]) * jacobi(n, -a - 1, -b + 1) * sys.xi
-    )
+        return laguerre(n, a) * sys.xi.derivative() + laguerre(n, a + 1) * sys.xi
+    if sys.case is Case.EXTJ:  # reduced bilinear form in xi at shifted and unshifted parameters
+        V = jacobi(n, -a, -b)
+        return ((ell + b) * Poly([1, -1]) * V * jacobi(ell, a + 1, b - 1)
+                + (n - a) * Poly([1, 1]) * jacobi(n, -a - 1, -b + 1) * sys.xi)
+    xi, U = jacobi(ell, a, b), jacobi(n, a, -b)  # j1's, and j2's through the mirror
+    return back(Poly([1, 1]) * U * xi.derivative() - (n - b) * jacobi(n, a + 1, -b - 1) * xi)
 
 
 def shifted_form_poly(sys: XSystem, n: int) -> Poly:
@@ -421,21 +419,18 @@ def shifted_form_poly(sys: XSystem, n: int) -> Poly:
     """
     if sys.params.ell < 1:
         raise ValueError("shifted bilinear form needs ell >= 1")
-    ell, a, b = sys.params.ell, sys.params.alpha, sys.params.beta
+    if sys.case is Case.EXTJ:
+        raise ValueError("extended Jacobi polynomials have no separate shifted form")
+    ell, (a, b, back) = sys.params.ell, _as_j1(sys)
     if sys.case is Case.L2:
         U = laguerre(n, -a)
         return (a + ell) * U * laguerre(ell, a - 1) - ETA * U.derivative() * sys.xi
     if sys.case is Case.L1:
         U = laguerre(n, a)
         return U * laguerre(ell, a + 1).compose_neg() - U.derivative() * sys.xi
-    if sys.case in (Case.J1, Case.J2):  # j2 is j1 mirrored, as in exceptional_poly
-        if sys.case is Case.J2:
-            a, b = b, a
-        U = jacobi(n, a, -b)
-        form = (ell + b) * U * jacobi(ell, a + 1, b - 1) \
-            - Poly([1, 1]) * U.derivative() * jacobi(ell, a, b)
-        return form if sys.case is Case.J1 else form.compose_neg()
-    raise ValueError("extended Jacobi polynomials have no separate shifted form")
+    U = jacobi(n, a, -b)  # j1's, and j2's through the mirror
+    return back((ell + b) * U * jacobi(ell, a + 1, b - 1)
+                - Poly([1, 1]) * U.derivative() * jacobi(ell, a, b))
 
 
 def level_poly(sys: XSystem, level: int) -> Poly:

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,8 +14,11 @@ import pytest
 from click.testing import CliRunner
 
 import exopoly
+from exopoly import cli as cli_module
 from exopoly.cli import cli
 from exopoly.polycore import rat_str
+from exopoly.quadrature import GramReport
+from exopoly.spectral import compare_spectrum
 from exopoly.systems import Case, Params, build_system, level_poly
 from exopoly.verify import zero_count_draws
 
@@ -197,6 +202,39 @@ def test_ortho_at_a_limit_circle_point(runner):
     data = json.loads(res.output)
     assert data["size"] == 12
     assert float(data["max_offdiag"]) < 1e-12
+
+
+# a NaN measurement where the maximum scan meets it first, or last
+NAN_ORDERS = {"first": (math.nan, 1e-15, 1e-15), "last": (1e-15, 1e-15, math.nan)}
+
+
+@pytest.mark.parametrize("where", list(NAN_ORDERS))
+def test_ortho_fails_on_a_nan_entry(runner, monkeypatch, where):
+    a, b, c = NAN_ORDERS[where]
+    matrix = ((1.0, a, b), (a, 1.0, c), (b, c, 1.0))
+    monkeypatch.setattr(cli_module, "gram", lambda sys, N: GramReport(3, matrix))
+    res = run(runner, "ortho", "--case", "l2", "--ell", "1", "--alpha", "-2", "--nmax", "3")
+    assert res.exit_code == 2
+    assert '"max_offdiag": nan' in res.output
+
+
+@pytest.mark.parametrize("where", list(NAN_ORDERS))
+def test_spectrum_fails_on_a_nan_error(runner, monkeypatch, where):
+    def with_nan(sys, k, grid):
+        return dataclasses.replace(compare_spectrum(sys, k, grid), errors=NAN_ORDERS[where])
+
+    monkeypatch.setattr(cli_module, "compare_spectrum", with_nan)
+    res = run(runner, "spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2", "-k", "3")
+    assert res.exit_code == 2
+    assert '"max_error": nan' in res.output
+
+
+def test_version_is_the_package_version(runner):
+    res = run(runner, "--version")
+    assert res.exit_code == 0
+    assert res.output == f"exopoly, version {exopoly.__version__}\n"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == exopoly.__version__
 
 
 def test_spectrum_command(runner):

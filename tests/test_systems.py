@@ -30,7 +30,7 @@ from exopoly.systems import (
     proportionality,
     wavefunction_eval,
 )
-from exopoly.verify import REPRESENTATIVE
+from exopoly.verify import REPRESENTATIVE, grid_params
 
 from oracles import (
     exact_at,
@@ -218,6 +218,68 @@ def test_energy_examples():
     assert energy(build_system(Case.L2, Params(1, F(-2))), 0) == 4
     assert energy(build_system(Case.L1, Params(2, F(1, 2))), 3) == 26
     assert energy(build_system(Case.J1, Params(1, F(0), F(-2))), 0) == 8
+
+
+# each case's E_n in closed form, stated apart from the polynomials in n that
+# XSystem builds (j2's there comes from j1's through the mirror)
+ENERGY_LITERALS = {
+    Case.L2: lambda ell, a, b, n: 4 * (n - a - ell),
+    Case.L1: lambda ell, a, b, n: 4 * (n + a + ell + 1),
+    Case.J1: lambda ell, a, b, n: 4 * (n * (n + a - b + 1) - ell * (ell + a + b + 1) - b * (a + 1)),
+    Case.J2: lambda ell, a, b, n: 4 * (n * (n + b - a + 1) - ell * (ell + a + b + 1) - a * (b + 1)),
+    Case.EXTJ: lambda ell, a, b, n: 4 * (n * (n - a - b + 1) - ell * (ell + a + b + 1) - a - b),
+}
+
+
+def _off_grid_systems(per_case_and_ell=2, seed=11):
+    """Seeded admissible points for every case and ell 0-4: alpha and beta
+    p/q with p in [-60, 60] (extj: [-60, -1], where it is admissible) and q
+    in 1..6."""
+    rng = random.Random(seed)
+    out = []
+    for case in Case:
+        top = -1 if case is Case.EXTJ else 60
+        for ell in range(5):
+            found = 0
+            while found < per_case_and_ell:
+                a, b = (F(rng.randint(-60, top), rng.randint(1, 6)) for _ in range(2))
+                try:
+                    out.append(build_system(case, Params(ell, a, None if case.is_laguerre else b)))
+                except (ParameterError, NodelessnessError):
+                    continue
+                found += 1
+    return out
+
+
+def test_family_energy_matches_closed_forms():
+    grid = [build_system(case, params) for ell in range(5) for case in Case
+            if not (case is Case.EXTJ and ell == 4) for params in grid_params(case, ell)]
+    degenerate = [build_system(Case.J1, Params(1, F(0), F(-2))),
+                  build_system(Case.J2, Params(1, F(-2), F(0)))]
+    assert all(any("degree-degenerate" in note for note in s.notes) for s in degenerate)
+    checked = set()
+    for sys in grid + _off_grid_systems() + degenerate:
+        p = sys.params
+        for n in range(9):
+            got = family_energy(sys, n)
+            assert type(got) is F, (sys.label, n)
+            assert got == ENERGY_LITERALS[sys.case](p.ell, p.alpha, p.beta, n), (sys.label, n)
+        checked.add((sys.case, p.ell))
+    assert checked == {(case, ell) for case in Case for ell in range(5)}
+    with pytest.raises(ValueError, match="^family index must be nonnegative$"):
+        family_energy(degenerate[1], -1)
+
+
+@pytest.mark.parametrize("case, params, message", [
+    (Case.J1, Params(1, F(-1, 2), F(-2)), "alpha > -1/2 (case j1; got alpha=-1/2)"),
+    (Case.J1, Params(2, F(1, 2), F(-2)), "beta < -ell (case j1; got beta=-2, ell=2)"),
+    (Case.J2, Params(1, F(-2), F(-1, 2)), "beta > -1/2 (case j2; got beta=-1/2)"),
+    (Case.J2, Params(2, F(-2), F(1, 2)), "alpha < -ell (case j2; got alpha=-2, ell=2)"),
+])
+def test_j1_j2_bound_messages(case, params, message):
+    with pytest.raises(ParameterError) as err:
+        build_system(case, params)
+    assert str(err.value) == f"parameter constraint violated: {message}"
 
 
 def test_extj_level_indexing_and_positivity():

@@ -1,13 +1,17 @@
 """Verification-suite plumbing: grids, outcomes, error paths."""
 
 import hashlib
+import math
 import os
 import signal
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from exopoly import verify
+from exopoly.classical import laguerre
+from exopoly.polycore import ETA
 from exopoly.quadrature import QuadratureConvergenceError
 from exopoly.systems import (
     Case,
@@ -88,6 +92,38 @@ def test_ode_residual_takes_a_stand_in_polynomial():
     for mutant in MUTANTS:
         for n in range(4):
             assert not ode_residual(sys, n, poly=_mutated_poly(sys, n, mutant)).is_zero
+
+
+def test_sign_flip_mutant_is_the_l2_form_with_its_xi_term_flipped():
+    for sys in grid_systems(ells=(0, 1, 2, 3)):
+        if sys.case is not Case.L2:
+            assert _mutated_poly(sys, 1, "p-l2-sign-flip") is None
+            continue
+        a = sys.params.alpha
+        for n in range(6):
+            want = (ETA * laguerre(n, -a) * sys.xi.derivative()
+                    - (a - n) * laguerre(n, -a - 1) * sys.xi)
+            assert _mutated_poly(sys, n, "p-l2-sign-flip") == want
+
+
+# the case whose measurement reads NaN: the first representative point or the last
+NAN_AT = {"first": list(REPRESENTATIVE)[0], "last": list(REPRESENTATIVE)[-1]}
+
+
+@pytest.mark.parametrize("where", list(NAN_AT))
+def test_a_nan_measurement_fails_its_float_suite(monkeypatch, where):
+    def measured(sys):
+        return math.nan if sys.case is NAN_AT[where] else 1e-15
+
+    monkeypatch.setattr(verify, "gram", lambda sys, N: SimpleNamespace(max_offdiag=measured(sys)))
+    monkeypatch.setattr(verify, "compare_spectrum",
+                        lambda sys, k, grid: SimpleNamespace(max_error=measured(sys)))
+    for suite, what in (("orthogonality", "max off-diagonal"),
+                        ("spectrum", "max eigenvalue error")):
+        out = run_suite(suite)
+        assert (out.passed, out.checked, out.failures) == (False, 5, 1), suite
+        assert out.details == [f"{NAN_AT[where].value}: {what} nan"]
+        assert math.isnan(out.worst_defect), suite
 
 
 def test_zero_count_failures_name_beta(monkeypatch):
