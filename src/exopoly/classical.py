@@ -8,10 +8,12 @@ is verified once against its defining second-order equation, so a
 transcription error cannot survive construction.  The check runs power by
 power: the equation applied to sum c_k eta^k is one integer identity per k
 among c_k, c_{k+1} and c_{k+2}, the same condition as a zero residual
-polynomial in O(n) integer operations.  The module also provides the
-derivative/contiguity identity suite and the classical zero-counting theory
-(zero counts on the positive axis and on (-1, 1), together with the Klein
-symbol and the nodelessness criterion).
+polynomial in O(n) integer operations.  Constructed polynomials are kept in
+one least-recently-used cache per family, bounded at 1,024 entries so that
+the working set of `verify` fits (see `_CACHE_ENTRIES`).  The module also
+provides the derivative/contiguity identity suite and the classical
+zero-counting theory (zero counts on the positive axis and on (-1, 1),
+together with the Klein symbol and the nodelessness criterion).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .polycore import ETA, Interval, POS_INF, Poly, rat, sturm_count
+from .polycore import ETA, Interval, POS_INF, Poly, rat, rat_str, sturm_count
 
 __all__ = [
     "binomial",
@@ -62,8 +64,16 @@ class TheoremHypothesisError(ValueError):
 # construction
 # ---------------------------------------------------------------------------
 
+# Entries per family cache, not bytes.  Sized to verify's working set: its
+# eight suites, run in one process from cold caches, build 557 distinct Jacobi
+# and 263 Laguerre polynomials, and 1024 is the least power of two that holds
+# both with no eviction (at 512 Jacobi evicts 45 entries; at 256 verify loses
+# 14 hits).  A system keeps its own family members (systems.XSystem._family),
+# so a larger bound mostly holds memory for points a run has left behind.
+_CACHE_ENTRIES = 1024
 
-@lru_cache(maxsize=4096)
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _laguerre_cached(n: int, alpha: Fraction) -> Poly:
     # sum_k (-1)^k C(n+alpha, n-k) eta^k / k! over the common denominator
     # q^n n! (alpha = p/q): the k-th numerator is
@@ -94,7 +104,7 @@ def laguerre(n: int, alpha) -> Poly:
     return _laguerre_cached(int(n), rat(alpha))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _jacobi_cached(n: int, alpha: Fraction, beta: Fraction) -> Poly:
     # sum_m C(n+alpha, n-m) C(n+alpha+beta+m, m) ((eta-1)/2)^m: no vanishing
     # prefactors at negative parameters, unlike the three-term recurrence.
@@ -248,7 +258,8 @@ def _sign_test(n: int, a: Fraction, b: Fraction) -> Fraction:
     zero-count theorems; a zero value is outside their hypotheses."""
     sign_product = binomial(n + a, n) * binomial(n + b, n)
     if sign_product == 0:
-        raise TheoremHypothesisError("theorem hypothesis violated: binomial sign test is zero")
+        raise TheoremHypothesisError("theorem hypothesis violated: binomial sign test is zero "
+                                     f"(n={n}, alpha={rat_str(a)}, beta={rat_str(b)})")
     return -sign_product if n % 2 else sign_product
 
 

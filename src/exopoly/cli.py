@@ -305,11 +305,12 @@ def spectrum(sys, k, points, x_min, x_max, tol):
 @click.option("--beta", default=None)
 @click.option("--sweep", type=int, default=None,
               help="Random admissible points to tabulate instead.")
-@click.option("--seed", type=int, default=7)
+@click.option("--seed", type=int, default=None)
 def zeros(kind, ell, alpha, beta, sweep, seed):
     """Zero-count predictions vs exact Sturm counts; exit 2 on a mismatch."""
-    # exactly one form: a complete single query, or a sweep with no query options
-    if sweep is None and None in (kind, ell, alpha) or (
+    # exactly one form: a complete single query, or a sweep (seeded 7 unless
+    # --seed is given) with no query options
+    if sweep is None and (None in (kind, ell, alpha) or seed is not None) or (
             sweep is not None and (kind, ell, alpha, beta) != (None,) * 4):
         _fail("give --kind/--ell/--alpha (and --beta for jacobi), or --sweep N", 1)
     rows = []
@@ -331,7 +332,7 @@ def zeros(kind, ell, alpha, beta, sweep, seed):
     else:
         if sweep < 0:
             _fail("--sweep must be >= 0", 1)
-        for k, n, a, b in islice(zero_count_draws(seed), sweep):
+        for k, n, a, b in islice(zero_count_draws(7 if seed is None else seed), sweep):
             rows.append((predict_zero_count(k, n, a, b), count_zeros_exact(k, n, a, b)))
     table = []
     mismatches = 0

@@ -315,11 +315,10 @@ def build_system(case: Case, params: Params) -> XSystem:
             _require(a + b < -ell,
                      "alpha + beta < -ell (case extj; got alpha+beta={}, ell={})", a + b, ell)
             try:
-                ok = nodeless_condition(ell, a, b)
-            except TheoremHypothesisError as exc:
-                raise ParameterError(f"parameter constraint violated: {exc}") from exc
-            _require(ok, "nodelessness condition fails (case extj; alpha={}, beta={}, ell={})",
-                     a, b, ell)
+                ok, why = nodeless_condition(ell, a, b), "nodelessness condition fails"
+            except TheoremHypothesisError:
+                ok, why = False, "binomial sign test is zero"
+            _require(ok, why + " (case extj; alpha={}, beta={}, ell={})", a, b, ell)
             p_prefactor = (Fraction(0),) * 4
         xi = jacobi(ell, a, b)
 

@@ -9,6 +9,8 @@ from exopoly.classical import (
     IDENTITIES,
     _check_jacobi_ode,
     _check_laguerre_ode,
+    _jacobi_cached,
+    _laguerre_cached,
     TheoremHypothesisError,
     binomial,
     count_zeros_exact,
@@ -218,6 +220,20 @@ def test_coefficientwise_self_check_catches_one_perturbed_coefficient(check, par
 # ---------------------------------------------------------------------------
 
 
+def test_classical_caches_stop_at_their_bound():
+    # 2,000 distinct constructions per family: the caches keep the newest
+    # _CACHE_ENTRIES, whatever fits in memory
+    from exopoly.classical import _CACHE_ENTRIES
+
+    for cached, build in ((_jacobi_cached, lambda k: jacobi(1, k, F(1, 2))),
+                          (_laguerre_cached, lambda k: laguerre(1, k))):
+        cached.cache_clear()
+        for k in range(2000):
+            build(k)
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize == _CACHE_ENTRIES == 1024, info
+
+
 def test_identity_spot_checks():
     assert identity_residual("L-1", 3, F(1, 3)).is_zero
     assert identity_residual("J-7", 2, F(1, 2), F(-5, 2)).is_zero
@@ -305,6 +321,16 @@ def test_jacobi_zero_count_examples():
         assert pred.count == n == count_zeros_exact("jacobi", n, F(1, 3), F(3, 2))
     with pytest.raises(TheoremHypothesisError):
         predict_zero_count("jacobi", 2, -1, F(1, 2))
+
+
+@pytest.mark.parametrize("beta, shown", [(F(-8), "-8"), (F(10) ** 5000, "1" + "0" * 5000)],
+                         ids=["-8", "10^5000"])
+def test_sign_test_failure_names_its_parameters(beta, shown):
+    # a 5,001-digit beta prints whole: str() would refuse it past 4,300 digits
+    with pytest.raises(TheoremHypothesisError) as err:
+        predict_zero_count("jacobi", 2, -2, beta)
+    assert str(err.value) == ("theorem hypothesis violated: binomial sign test is zero "
+                              f"(n=2, alpha=-2, beta={shown})")
 
 
 def test_prediction_matches_sturm_on_random_admissible_points():

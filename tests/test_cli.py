@@ -283,6 +283,16 @@ def test_zeros_sweep_rejects_single_query_options(runner, option, value):
     assert "--kind/--ell/--alpha" in res.output and "--sweep N" in res.output
 
 
+def test_zeros_seed_needs_a_sweep(runner):
+    # a single query has no random draws, so a --seed there is a usage error
+    res = run(runner, "zeros", "--kind", "laguerre", "--ell", "3", "--alpha", "1/2", "--seed", "9")
+    assert res.exit_code == 1
+    assert "--kind/--ell/--alpha" in res.output and "--sweep N" in res.output
+    # a sweep without --seed still draws seed 7
+    assert run(runner, "zeros", "--sweep", "5").output == \
+        run(runner, "zeros", "--sweep", "5", "--seed", "7").output
+
+
 def test_zeros_laguerre_query_rejects_beta(runner):
     res = run(runner, "zeros", "--kind", "laguerre", "--ell", "3", "--alpha", "1/2",
               "--beta", "1/2")
@@ -304,6 +314,22 @@ def test_zeros_negative_ell_rejected(query):
     res = _main("zeros", *query)
     assert res.returncode == 1 and res.stdout == ""
     assert "--ell must be >= 0" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args, named", [
+    (("construct", "--case", "extj", "--ell", "2", "--alpha", "-2", "--beta", "-8", "--nmax", "8"),
+     "binomial sign test is zero (case extj; alpha=-2, beta=-8, ell=2)"),
+    (("construct", "--case", "extj", "--ell", "2", "--alpha", "-2", "--beta", "-1e5000"),
+     "(case extj; alpha=-2, beta=-1" + "0" * 5000 + ", ell=2)"),
+    (("zeros", "--kind", "jacobi", "--ell", "2", "--alpha", "-2", "--beta", "-8"),
+     "binomial sign test is zero (n=2, alpha=-2, beta=-8)"),
+    (("zeros", "--kind", "jacobi", "--ell", "2", "--alpha", "-2", "--beta", "1e5000"),
+     "(n=2, alpha=-2, beta=1" + "0" * 5000 + ")"),
+], ids=["construct", "construct-5001-digits", "zeros", "zeros-5001-digits"])
+def test_sign_test_failures_name_their_parameters(args, named):
+    res = _main(*args)
+    assert res.returncode == 1 and res.stdout == ""
+    assert named in res.stderr and "Traceback" not in res.stderr
 
 
 def test_spectrum_too_few_points_rejected():

@@ -102,6 +102,16 @@ def test_inadmissible_parameters_rejected():
         assert str(err.value) == f"parameter constraint violated: case {case.value} takes no beta"
 
 
+@pytest.mark.parametrize("beta, shown", [
+    (F(-8), "-8"), (F(-5, 2), "-5/2"), (F(-3, 4), "-3/4"), (-F(10) ** 5000, "-1" + "0" * 5000),
+], ids=["-8", "-5/2", "-3/4", "-10^5000"])
+def test_extj_sign_test_failure_names_the_case(beta, shown):
+    with pytest.raises(ParameterError) as err:
+        build_system(Case.EXTJ, Params(2, F(-2), beta))
+    assert str(err.value) == ("parameter constraint violated: binomial sign test is zero "
+                              f"(case extj; alpha=-2, beta={shown}, ell=2)")
+
+
 @pytest.mark.parametrize("ell", [F(3, 2), 1.5, 2.0, "2", True, False, None])
 def test_non_integer_degree_rejected(ell):
     with pytest.raises(ParameterError) as err:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from exopoly import verify
-from exopoly.classical import laguerre
+from exopoly.classical import _jacobi_cached, _laguerre_cached, laguerre
 from exopoly.polycore import ETA
 from exopoly.quadrature import QuadratureConvergenceError
 from exopoly.systems import (
@@ -146,6 +146,18 @@ def test_identity_draws_are_pinned(monkeypatch):
     assert run_suite("identities").passed and len(seen) == 200
     assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == (
         "d8e163da04d840ccfd913dc9798e9944df5716359fe441672ee6b345b6b33c0c")
+
+
+def test_verify_working_set_fits_the_classical_caches():
+    # classical._CACHE_ENTRIES is sized to this: all eight suites, run in one
+    # process from cold caches, build every polynomial once and evict none
+    for cached in (_jacobi_cached, _laguerre_cached, verify._grid_at):
+        cached.cache_clear()
+    for name in SUITES:
+        run_suite(name)
+    for cached in (_jacobi_cached, _laguerre_cached):
+        info = cached.cache_info()
+        assert info.misses == info.currsize, (cached, info)
 
 
 def test_xi_equation_residual_detects_a_wrong_constant():
