@@ -7,11 +7,23 @@ them three independent ways: exact polynomial identities, numerical
 orthogonality under the deformed weights, and a finite-difference eigensolver.
 """
 
-# every layer is loaded with the package: perfbench/tracer.py reads them from
-# sys.modules right after import and rebinds their functions in place
-from . import classical, polycore, quadrature, spectral, systems, verify
-
 __version__ = "0.1.0"
+
+
+def _register_lazily(*layers):
+    """Register each layer in sys.modules and on the package; it runs at first use
+    (LazyLoader).  perfbench/tracer.py reads the layers from sys.modules after
+    `import exopoly.cli`; once it resolves them as they load, PEP 562 can replace this."""
+    import importlib.util
+    import sys
+    for layer in layers:
+        spec = importlib.util.find_spec(f"{__name__}.{layer}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        globals()[layer] = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(globals()[layer])
+
+
+_register_lazily("polycore", "classical", "systems", "quadrature", "spectral", "verify")
 
 # each public name once, under the module that defines it, in __all__'s order
 _EXPORTS = {

@@ -10,17 +10,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import exopoly
-from exopoly import cli as cli_module
 from exopoly.cli import cli
 from exopoly.polycore import rat_str
 from exopoly.quadrature import GramReport
 from exopoly.spectral import compare_spectrum
 from exopoly.systems import Case, Params, build_system, level_poly
-from exopoly.verify import zero_count_draws
+from exopoly.verify import SUITES, zero_count_draws
 
 
 @pytest.fixture()
@@ -212,7 +212,7 @@ NAN_ORDERS = {"first": (math.nan, 1e-15, 1e-15), "last": (1e-15, 1e-15, math.nan
 def test_ortho_fails_on_a_nan_entry(runner, monkeypatch, where):
     a, b, c = NAN_ORDERS[where]
     matrix = ((1.0, a, b), (a, 1.0, c), (b, c, 1.0))
-    monkeypatch.setattr(cli_module, "gram", lambda sys, N: GramReport(3, matrix))
+    monkeypatch.setattr(exopoly.quadrature, "gram", lambda sys, N: GramReport(3, matrix))
     res = run(runner, "ortho", "--case", "l2", "--ell", "1", "--alpha", "-2", "--nmax", "3")
     assert res.exit_code == 2
     assert '"max_offdiag": nan' in res.output
@@ -223,10 +223,26 @@ def test_spectrum_fails_on_a_nan_error(runner, monkeypatch, where):
     def with_nan(sys, k, grid):
         return dataclasses.replace(compare_spectrum(sys, k, grid), errors=NAN_ORDERS[where])
 
-    monkeypatch.setattr(cli_module, "compare_spectrum", with_nan)
+    monkeypatch.setattr(exopoly.spectral, "compare_spectrum", with_nan)
     res = run(runner, "spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2", "-k", "3")
     assert res.exit_code == 2
     assert '"max_error": nan' in res.output
+
+
+def test_help_lists_every_command_and_default(runner):
+    # the group defines its commands at first lookup, so --help must name all six
+    res = runner.invoke(cli, ["--help"], terminal_width=80, catch_exceptions=False)
+    assert res.exit_code == 0
+    listed = res.output.split("Commands:\n", 1)[1].splitlines()
+    assert [line.split()[0] for line in listed] == [
+        "construct", "ortho", "plotdata", "spectrum", "verify", "zeros"]
+    assert "CSV columns x, V(x), phi_0(x)..phi_nmax(x) on an interior grid." in res.output
+    res = runner.invoke(cli, ["verify", "--help"], terminal_width=80)
+    assert all(name in res.output for name in SUITES)
+    res = runner.invoke(cli, ["spectrum", "--help"], terminal_width=80)
+    text = " ".join(res.output.split())
+    assert "0.001..12 on the half line" in text
+    assert "0.001..pi/2-0.001 on (0, pi/2)" in text
 
 
 def test_version_is_the_package_version(runner):
@@ -398,7 +414,8 @@ POINT_COMMANDS = ["construct", "ortho", "spectrum", "plotdata"]
 
 def test_point_commands_share_their_point_options():
     def leading(name):
-        return [(p.name, p.opts, p.required, p.help) for p in cli.commands[name].params[:4]]
+        command = cli.get_command(click.Context(cli), name)
+        return [(p.name, p.opts, p.required, p.help) for p in command.params[:4]]
 
     assert [opts for _, opts, _, _ in leading("construct")] == [
         ["--case"], ["--ell"], ["--alpha"], ["--beta"]]

@@ -1,5 +1,6 @@
-"""What importing exopoly loads and binds: never numpy, every submodule eagerly,
-and each public name, resolved from the submodule that defines it."""
+"""What importing exopoly loads and binds: never numpy, every layer registered
+in sys.modules but run only at first use, so a command runs only the layers it
+calls, and each public name, resolved from the submodule that defines it."""
 
 import os
 import subprocess
@@ -100,12 +101,53 @@ def test_type_hints_resolve_without_numpy():
     assert res.returncode == 0, res.stderr
 
 
-def test_float_modules_are_imported_eagerly():
-    # perfbench/tracer.py reads these from sys.modules right after importing
+def test_layers_are_registered_for_the_tracer():
+    # perfbench/tracer.py reads the layers from sys.modules right after importing
     # exopoly.cli, and rebinds their functions in place
-    res = _fresh("import sys, exopoly.cli; "
-                 "assert {'exopoly.quadrature', 'exopoly.spectral'} <= set(sys.modules)")
+    res = _fresh("import sys, exopoly.cli\n"
+                 "layers = {f'exopoly.{n}': sys.modules.get(f'exopoly.{n}') for n in "
+                 "('polycore', 'classical', 'systems', 'quadrature', 'spectral', 'verify')}\n"
+                 "assert None not in layers.values(), layers\n"
+                 "assert callable(layers['exopoly.verify'].run_suite)\n"
+                 "assert callable(layers['exopoly.quadrature'].gram)\n"
+                 "assert callable(layers['exopoly.spectral'].eigen_lowest)\n"
+                 "assert callable(layers['exopoly.classical'].jacobi)")
     assert res.returncode == 0, res.stderr
+
+
+# runs one command through main() and prints the exopoly layers whose body ran:
+# a layer still waiting under importlib.util.LazyLoader has another type
+RAN_LAYERS = """
+import sys, types
+from exopoly.cli import main
+sys.argv = ["exopoly", *sys.argv[1:]]
+try:
+    main()
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(" ".join(sorted(name[len("exopoly."):] for name, m in sys.modules.items()
+                      if name.startswith("exopoly.") and name != "exopoly.cli"
+                      and type(m) is types.ModuleType)))
+"""
+
+POINT = ["--case", "l2", "--ell", "1", "--alpha", "-2"]
+ALL_LAYERS = "classical polycore quadrature spectral systems verify"
+
+
+@pytest.mark.parametrize("args, layers", [
+    (["--version"], ""),
+    (["zeros", "--kind", "laguerre", "--ell", "3", "--alpha", "1/2"], "classical polycore"),
+    (["construct", *POINT], "classical polycore systems"),
+    (["ortho", *POINT], "classical polycore quadrature systems"),
+    (["spectrum", *POINT, "-k", "3"], "classical polycore spectral systems"),
+    (["plotdata", *POINT, "--points", "50"], "classical polycore spectral systems"),
+    (["verify"], ALL_LAYERS),
+], ids=["version", "zeros", "construct", "ortho", "spectrum", "plotdata", "verify"])
+def test_each_command_runs_only_its_layers(args, layers):
+    res = _fresh(RAN_LAYERS, *args)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == layers
 
 
 def test_float_call_in_a_fresh_process():
