@@ -11,18 +11,20 @@ among c_k, c_{k+1} and c_{k+2}, the same condition as a zero residual
 polynomial in O(n) integer operations.  Constructed polynomials are kept in
 one least-recently-used cache per family, bounded at 1,024 entries so that
 the working set of `verify` fits (see `_CACHE_ENTRIES`).  The module also
-provides the derivative/contiguity identity suite and the classical
-zero-counting theory (zero counts on the positive axis and on (-1, 1),
-together with the Klein symbol and the nodelessness criterion).
+provides the derivative/contiguity identity suite and the zero-count theory:
+counts on the positive axis and on (-1, 1), the Klein symbol, the nodelessness
+criterion, the counts' one input check and their seeded sampler
+(`zero_count_draws`, through the one rational sampler `_random_rational`).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .polycore import ETA, Interval, POS_INF, Poly, rat, rat_str, sturm_count
 
@@ -37,6 +39,7 @@ __all__ = [
     "TheoremHypothesisError",
     "ZeroCountPrediction",
     "predict_zero_count",
+    "zero_count_draws",
     "nodeless_condition",
 ]
 
@@ -267,6 +270,19 @@ _POSITIVE_AXIS = Interval(Fraction(0), POS_INF)
 _OPEN_UNIT = Interval(Fraction(-1), Fraction(1))
 
 
+def _zero_count_args(kind: str, n: int, alpha, beta) -> tuple[Fraction, Optional[Fraction]]:
+    """The zero counts' one input check: a known kind, n >= 0, and a beta given
+    exactly when the kind is jacobi.  Returns (alpha, beta) as rationals."""
+    if kind not in ("laguerre", "jacobi"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative (got n={n})")
+    if (beta is None) == (kind == "jacobi"):
+        raise ValueError("a jacobi zero count needs beta" if beta is None else
+                         f"a laguerre zero count takes no beta (got beta={rat_str(rat(beta))})")
+    return rat(alpha), None if beta is None else rat(beta)
+
+
 def predict_zero_count(kind: str, n: int, alpha, beta=None) -> ZeroCountPrediction:
     """Classical theorem predictions for real-zero counts.
 
@@ -274,10 +290,8 @@ def predict_zero_count(kind: str, n: int, alpha, beta=None) -> ZeroCountPredicti
     alpha not in {-1, ..., -n}.  kind='jacobi': zeros of P_n^(alpha, beta)
     in (-1, 1), for parameters where the binomial sign test is nonzero.
     """
-    a = rat(alpha)
+    a, b = _zero_count_args(kind, n, alpha, beta)
     if kind == "laguerre":
-        if beta is not None:
-            raise ValueError(f"a laguerre zero count takes no beta (got beta={beta})")
         if a.denominator == 1 and -n <= a <= -1:
             raise TheoremHypothesisError(
                 f"theorem hypothesis violated: alpha={a} is in {{-1,...,-{n}}}"
@@ -295,17 +309,12 @@ def predict_zero_count(kind: str, n: int, alpha, beta=None) -> ZeroCountPredicti
             count, "laguerre_middle_oracle", kind, n, a,
             oracle_resolved=True, readings=(floor_reading, trunc_reading),
         )
-    if kind == "jacobi":
-        if beta is None:
-            raise ValueError("jacobi prediction needs beta")
-        b = rat(beta)
-        X = klein_E(Fraction(1, 2) * (abs(2 * n + a + b + 1) - abs(a) - abs(b) + 1))
-        if _sign_test(n, a, b) > 0:
-            count = 2 * ((X + 1) // 2)
-        else:
-            count = 2 * (X // 2) + 1
-        return ZeroCountPrediction(count, "jacobi_interval", kind, n, a, b)
-    raise ValueError(f"unknown kind {kind!r}")
+    X = klein_E(Fraction(1, 2) * (abs(2 * n + a + b + 1) - abs(a) - abs(b) + 1))
+    if _sign_test(n, a, b) > 0:
+        count = 2 * ((X + 1) // 2)
+    else:
+        count = 2 * (X // 2) + 1
+    return ZeroCountPrediction(count, "jacobi_interval", kind, n, a, b)
 
 
 def nodeless_condition(ell: int, alpha, beta) -> bool:
@@ -322,10 +331,30 @@ def nodeless_condition(ell: int, alpha, beta) -> bool:
 def count_zeros_exact(kind: str, n: int, alpha, beta=None) -> int:
     """Sturm-count oracle on the exact polynomial, matching the theorem's
     interval convention (positive axis / open (-1, 1))."""
+    a, b = _zero_count_args(kind, n, alpha, beta)
     if kind == "laguerre":
-        if beta is not None:
-            raise ValueError(f"a laguerre zero count takes no beta (got beta={beta})")
-        return sturm_count(laguerre(n, alpha), _POSITIVE_AXIS)
-    if kind == "jacobi":
-        return sturm_count(jacobi(n, alpha, beta), _OPEN_UNIT)
-    raise ValueError(f"unknown kind {kind!r}")
+        return sturm_count(laguerre(n, a), _POSITIVE_AXIS)
+    return sturm_count(jacobi(n, a, b), _OPEN_UNIT)
+
+
+def _random_rational(rng: random.Random, lo: int, hi: int, den: int) -> Fraction:
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def zero_count_draws(seed: int) -> Iterator[ZeroCountPrediction]:
+    """Endless predictions at random (kind, n, alpha, beta) where the
+    zero-count theorems apply (a draw outside their hypotheses is skipped);
+    a jacobi beta shares alpha's denominator.  ``zeros --sweep`` and verify's
+    zero-count suite draw from this one stream."""
+    rng = random.Random(seed)
+    while True:
+        kind = rng.choice(("laguerre", "jacobi"))
+        n = rng.randint(1, 8)
+        den = rng.randint(1, 6)
+        a = _random_rational(rng, -10, 6, den)
+        b = _random_rational(rng, -10, 6, den) if kind == "jacobi" else None
+        try:
+            pred = predict_zero_count(kind, n, a, b)
+        except TheoremHypothesisError:
+            continue
+        yield pred

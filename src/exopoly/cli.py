@@ -268,7 +268,7 @@ def _ortho():
     @click.option("--nmax", type=int, default=6, help="Levels 0..nmax-1 enter the matrix.")
     @click.option("--tol", type=float, default=1e-10, help="Off-diagonal pass threshold.")
     def ortho(sys, nmax, tol):
-        """Normalized Gram matrix under the deformed weight; exit 2 above --tol."""
+        """Normalized Gram matrix under the deformed weight.  Exit 2 above --tol."""
         if not 0 < tol < float("inf"):  # a NaN tolerance would pass every check
             _fail("--tol must be finite and > 0", 1)
         try:
@@ -326,35 +326,23 @@ def _zeros():
                   help="Random admissible points to tabulate instead.")
     @click.option("--seed", type=int, default=None)
     def zeros(kind, ell, alpha, beta, sweep, seed):
-        """Zero-count predictions vs exact Sturm counts; exit 2 on a mismatch."""
+        """Zero-count predictions vs exact Sturm counts.  Exit 2 on a mismatch."""
         # exactly one form: a complete single query, or a sweep (seeded 7 unless
         # --seed is given) with no query options
         if sweep is None and (None in (kind, ell, alpha) or seed is not None) or (
                 sweep is not None and (kind, ell, alpha, beta) != (None,) * 4):
             _fail("give --kind/--ell/--alpha (and --beta for jacobi), or --sweep N", 1)
-        rows = []
         if sweep is None:
-            a = _parse_rational(alpha, "alpha")
-            b = _parse_rational(beta, "beta")
-            if kind == "jacobi" and b is None:
-                _fail("jacobi query needs --beta", 1)
-            if kind == "laguerre" and b is not None:
-                _fail("laguerre query takes no --beta", 1)
-            if ell < 0:
-                _fail("--ell must be >= 0", 1)
-            try:
-                pred = classical.predict_zero_count(kind, ell, a, b)
-            except classical.TheoremHypothesisError as exc:
-                _fail(str(exc), 1)
-            exact = classical.count_zeros_exact(kind, ell, a, b)
-            rows.append((pred, exact))
-        else:
-            from .verify import zero_count_draws  # the sweep's sampler: all six layers
-            if sweep < 0:
-                _fail("--sweep must be >= 0", 1)
-            for k, n, a, b in islice(zero_count_draws(7 if seed is None else seed), sweep):
-                rows.append((classical.predict_zero_count(k, n, a, b),
-                             classical.count_zeros_exact(k, n, a, b)))
+            a, b = _parse_rational(alpha, "alpha"), _parse_rational(beta, "beta")
+        elif sweep < 0:
+            _fail("--sweep must be >= 0", 1)
+        try:  # the library checks the kind, degree and beta, and the theorems' hypotheses
+            preds = ([classical.predict_zero_count(kind, ell, a, b)] if sweep is None else
+                     islice(classical.zero_count_draws(7 if seed is None else seed), sweep))
+            rows = [(p, classical.count_zeros_exact(p.kind, p.n, p.alpha, p.beta))
+                    for p in preds]
+        except ValueError as exc:
+            _fail(str(exc), 1)
         table = []
         mismatches = 0
         for pred, exact in rows:

@@ -7,8 +7,8 @@ the canonical admissible points used everywhere (library tests and the
 command-line verifier); they avoid parameter sets where the deforming
 function is degree-degenerate, which are legal to build but exempt from the
 degree laws.  Each suite runs one fixed grid: its sizes, seeds and
-tolerances are the constants below.  The random suites draw their rationals
-through one sampler, `_random_rational`.
+tolerances are the constants below.  The random suites draw through
+`classical`: its one rational sampler `_random_rational`, and `zero_count_draws`.
 
 `run_suites` runs several suites.  The float suites (orthogonality,
 spectrum) share no state with the exact ones, so when both kinds are asked
@@ -31,11 +31,11 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .classical import (
     IDENTITIES,
-    binomial,
+    _random_rational,
     count_zeros_exact,
     identity_residual,
     laguerre,
-    predict_zero_count,
+    zero_count_draws,
 )
 from .polycore import Interval, Poly, sturm_count
 from .quadrature import gram
@@ -60,7 +60,6 @@ __all__ = [
     "grid_systems",
     "run_suite",
     "run_suites",
-    "zero_count_draws",
 ]
 
 
@@ -120,22 +119,17 @@ def grid_params(case: Case, ell: int) -> list[Params]:
     return [Params(ell, a, b) for a, b in _EXTJ_POINTS[ell]]
 
 
-def grid_systems(ells=(1, 2, 3)) -> Iterator[XSystem]:
-    for ell in ells:
-        for case in Case:
-            for params in grid_params(case, ell):
-                yield build_system(case, params)
-
-
 @cache
 def _grid_at(ell: int) -> tuple[XSystem, ...]:
     """The canonical systems of one degree, built once per process: the exact
     suites share each system and the family members kept on it."""
-    return tuple(grid_systems((ell,)))
+    return tuple(build_system(case, params) for case in Case for params in grid_params(case, ell))
 
 
-def _shared_grid(ells) -> Iterator[XSystem]:
-    return (sys for ell in ells for sys in _grid_at(ell))
+def grid_systems(ells=(1, 2, 3)) -> Iterator[XSystem]:
+    """The canonical systems of each degree in turn, each built once per process."""
+    for ell in ells:
+        yield from _grid_at(ell)
 
 
 # representative points for the numeric suites (one per case)
@@ -146,10 +140,6 @@ REPRESENTATIVE = {
     Case.J2: Params(1, Fraction(-2), Fraction(1, 2)),
     Case.EXTJ: Params(2, Fraction(-5, 2), Fraction(-5, 2)),
 }
-
-
-def _random_rational(rng: random.Random, lo: int, hi: int, den: int) -> Fraction:
-    return Fraction(rng.randint(lo * den, hi * den), den)
 
 
 # each suite yields its checks as (label, ok, defect) triples
@@ -170,7 +160,7 @@ def _identities() -> Iterator[Check]:
 
 def _xi_equation() -> Iterator[Check]:
     """The deforming-function equation, exact, for every case and degree."""
-    for sys in _shared_grid(_XI_ELLS):
+    for sys in grid_systems(_XI_ELLS):
         ok = xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
         yield f"xi-equation fails: {sys.case.value} {sys.params}", ok, float(not ok)
 
@@ -190,7 +180,7 @@ def _mutated_poly(sys: XSystem, n: int, mutant: Optional[str]) -> Optional[Poly]
 
 def _ode_residual(mutant: Optional[str] = None) -> Iterator[Check]:
     """Exact eigen-equation residuals across the grid, of P_n or of its mutant."""
-    for sys in _shared_grid(_ELLS):
+    for sys in grid_systems(_ELLS):
         for n in range(_N_MAX + 1):
             ok = ode_residual(sys, n, _mutated_poly(sys, n, mutant)).is_zero
             yield (f"residual nonzero: {sys.case.value} ell={sys.params.ell} "
@@ -200,7 +190,7 @@ def _ode_residual(mutant: Optional[str] = None) -> Iterator[Check]:
 
 def _shifted_form() -> Iterator[Check]:
     """Exact proportionality between the two bilinear forms (nonzero constant)."""
-    for sys in _shared_grid(_ELLS):
+    for sys in grid_systems(_ELLS):
         if sys.case is Case.EXTJ:
             continue
         for n in range(_N_MAX + 1):
@@ -217,7 +207,7 @@ def _degree_node() -> Iterator[Check]:
     """deg P = ell+n (exceptional) or ell+n+1 with exactly n+1 interior
     roots (extended Jacobi), exact via Sturm counting."""
     unit = Interval(Fraction(-1), Fraction(1))
-    for sys in _shared_grid(_ELLS):
+    for sys in grid_systems(_ELLS):
         ell = sys.params.ell
         for n in range(_N_MAX + 1):
             P = exceptional_poly(sys, n)
@@ -228,33 +218,13 @@ def _degree_node() -> Iterator[Check]:
             yield f"degree/node law fails: {sys.case.value} {sys.params} n={n}", ok, float(not ok)
 
 
-def zero_count_draws(seed: int) -> Iterator[tuple[str, int, Fraction, Optional[Fraction]]]:
-    """Endless random (kind, n, alpha, beta) where the classical zero-count
-    theorems apply; beta is None for laguerre, and for jacobi it shares
-    alpha's denominator.  ``zeros --sweep`` and the zero-count suite draw
-    from this one stream."""
-    rng = random.Random(seed)
-    while True:
-        kind = rng.choice(("laguerre", "jacobi"))
-        n = rng.randint(1, 8)
-        den = rng.randint(1, 6)
-        a = _random_rational(rng, -10, 6, den)
-        if kind == "laguerre":
-            if not (a.denominator == 1 and -n <= a <= -1):
-                yield kind, n, a, None
-        else:
-            b = _random_rational(rng, -10, 6, den)
-            if binomial(n + a, n) * binomial(n + b, n) != 0:
-                yield kind, n, a, b
-
-
 def _zero_count() -> Iterator[Check]:
     """Classical zero-count predictions vs exact Sturm counts on random
     admissible parameters; the ambiguous middle branch is oracle-only and
     therefore excluded here."""
-    draws = ((d, predict_zero_count(*d)) for d in zero_count_draws(_ZERO_COUNT_SEED))
-    decided = ((d, pred) for d, pred in draws if not pred.oracle_resolved)
-    for (kind, n, a, b), pred in islice(decided, _ZERO_COUNT_POINTS):
+    decided = (p for p in zero_count_draws(_ZERO_COUNT_SEED) if not p.oracle_resolved)
+    for pred in islice(decided, _ZERO_COUNT_POINTS):
+        kind, n, a, b = pred.kind, pred.n, pred.alpha, pred.beta
         exact = count_zeros_exact(kind, n, a, b)
         ok = pred.count == exact
         yield (f"{kind} n={n} alpha={a} beta={b}: predicted {pred.count}, exact {exact}",

@@ -304,6 +304,24 @@ def test_laguerre_exact_count_rejects_beta():
         count_zeros_exact("laguerre", 3, F(1, 2), F(2))
 
 
+@pytest.mark.parametrize("count", [predict_zero_count, count_zeros_exact])
+@pytest.mark.parametrize("kind, beta", [("laguerre", None), ("jacobi", F(1, 2))])
+def test_zero_counts_reject_a_negative_degree(count, kind, beta):
+    # a laguerre prediction once returned count -2 here, and a jacobi one
+    # raised "factorial() not defined for negative values"
+    with pytest.raises(ValueError, match=r"^degree must be nonnegative \(got n=-2\)$"):
+        count(kind, -2, F(1, 2), beta)
+
+
+@pytest.mark.parametrize("count", [predict_zero_count, count_zeros_exact])
+def test_zero_counts_check_kind_and_beta(count):
+    # count_zeros_exact once raised TypeError for a jacobi count without beta
+    with pytest.raises(ValueError, match="^a jacobi zero count needs beta$"):
+        count("jacobi", 2, F(1, 2))
+    with pytest.raises(ValueError, match="^unknown kind 'hermite'$"):
+        count("hermite", 2, F(1, 2))
+
+
 def test_laguerre_middle_branch_is_oracle_resolved():
     pred = predict_zero_count("laguerre", 2, F(-3, 2))
     assert pred.oracle_resolved and pred.branch == "laguerre_middle_oracle"

@@ -15,12 +15,13 @@ import pytest
 from click.testing import CliRunner
 
 import exopoly
+from exopoly.classical import zero_count_draws
 from exopoly.cli import cli
 from exopoly.polycore import rat_str
 from exopoly.quadrature import GramReport
 from exopoly.spectral import compare_spectrum
 from exopoly.systems import Case, Params, build_system, level_poly
-from exopoly.verify import SUITES, zero_count_draws
+from exopoly.verify import SUITES
 
 
 @pytest.fixture()
@@ -245,6 +246,16 @@ def test_help_lists_every_command_and_default(runner):
     assert "0.001..pi/2-0.001 on (0, pi/2)" in text
 
 
+def test_help_summaries_fit_80_columns(runner):
+    # click cuts a summary that does not fit beside the name column with "..."
+    res = runner.invoke(cli, ["--help"], terminal_width=80, catch_exceptions=False)
+    rows = res.output.split("Commands:\n", 1)[1].splitlines()
+    assert len(rows) == 6 and not [row for row in rows if row.endswith("...")]
+    for name, exit_2 in (("ortho", "Exit 2 above --tol."), ("zeros", "Exit 2 on a mismatch.")):
+        res = runner.invoke(cli, [name, "--help"], terminal_width=80, catch_exceptions=False)
+        assert exit_2 in res.output
+
+
 def test_version_is_the_package_version(runner):
     res = run(runner, "--version")
     assert res.exit_code == 0
@@ -282,7 +293,7 @@ def test_zeros_sweep_draws_the_suite_sampler(runner):
     got = [(r["kind"], r["degree"], Fraction(r["alpha"]),
             None if r["beta"] is None else Fraction(r["beta"])) for r in rows]
     draws = zero_count_draws(3)
-    assert got == [next(draws) for _ in range(25)]
+    assert got == [(p.kind, p.n, p.alpha, p.beta) for p in (next(draws) for _ in range(25))]
 
 
 def test_zeros_requires_arguments(runner):
@@ -313,7 +324,7 @@ def test_zeros_laguerre_query_rejects_beta(runner):
     res = run(runner, "zeros", "--kind", "laguerre", "--ell", "3", "--alpha", "1/2",
               "--beta", "1/2")
     assert res.exit_code == 1
-    assert res.output.strip() == "laguerre query takes no --beta"
+    assert res.output.strip() == "a laguerre zero count takes no beta (got beta=1/2)"
 
 
 def test_zeros_negative_sweep_rejected(runner):
@@ -329,7 +340,8 @@ def test_zeros_negative_sweep_rejected(runner):
 def test_zeros_negative_ell_rejected(query):
     res = _main("zeros", *query)
     assert res.returncode == 1 and res.stdout == ""
-    assert "--ell must be >= 0" in res.stderr and "Traceback" not in res.stderr
+    assert res.stderr == f"degree must be nonnegative (got n={query[3]})\n"
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("args, named", [

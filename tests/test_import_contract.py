@@ -138,12 +138,13 @@ ALL_LAYERS = "classical polycore quadrature spectral systems verify"
 @pytest.mark.parametrize("args, layers", [
     (["--version"], ""),
     (["zeros", "--kind", "laguerre", "--ell", "3", "--alpha", "1/2"], "classical polycore"),
+    (["zeros", "--sweep", "5"], "classical polycore"),
     (["construct", *POINT], "classical polycore systems"),
     (["ortho", *POINT], "classical polycore quadrature systems"),
     (["spectrum", *POINT, "-k", "3"], "classical polycore spectral systems"),
     (["plotdata", *POINT, "--points", "50"], "classical polycore spectral systems"),
     (["verify"], ALL_LAYERS),
-], ids=["version", "zeros", "construct", "ortho", "spectrum", "plotdata", "verify"])
+], ids=["version", "zeros", "zeros-sweep", "construct", "ortho", "spectrum", "plotdata", "verify"])
 def test_each_command_runs_only_its_layers(args, layers):
     res = _fresh(RAN_LAYERS, *args)
     assert res.returncode == 0, res.stderr
