@@ -255,7 +255,10 @@ def _verify():
         names = list(suites) or list(layer.SUITES)
         if inject is not None and "ode-residual" not in names:
             _fail("--inject needs the ode-residual suite (add --suite ode-residual)", 1)
-        outcomes = layer.run_suites(names, inject)
+        try:
+            outcomes = layer.run_suites(names, inject)
+        except (ArithmeticError, ValueError, RuntimeError) as exc:  # a suite could not finish
+            _fail(str(exc), 2)
         # wall-clock timing is intentionally omitted: output must be byte-stable
         _emit_json([{k: v for k, v in vars(o).items() if k != "elapsed_s"} for o in outcomes])
         if any(not o.passed for o in outcomes):

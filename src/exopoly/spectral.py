@@ -2,11 +2,11 @@
 
 The Hamiltonian -d^2/dx^2 + V(x) is discretized by second-order central
 differences with Dirichlet walls on a truncated domain, and its lowest
-eigenvalues are extracted by bisection on the LDL^T inertia count of the
-shifted tridiagonal matrix.  Safeguarded Newton steps on det(T - sigma)
-first place count samples next to each level, and since the count never
-falls as the shift rises, the bisection skips every count they decide: its
-steps and its answer are unchanged, in about a third of the passes.
+eigenvalues are extracted by plain bisection on the LDL^T inertia count of
+the shifted tridiagonal matrix.  The count never falls as the shift rises,
+so only a count no sample decides costs a pass, and the first one next to a
+level the samples isolate places safeguarded Newton steps on det(T - sigma)
+there: the answer is unchanged, in about a third of the passes.
 `compare_spectrum` extrapolates from two grids on one box (999 and 499
 interior points by default), cancelling the h^2 error term; what remains is
 the box truncation, ~1e-5 on j1/j2.  Nothing here reuses the symbolic
@@ -152,6 +152,7 @@ class _Samples:
         self.diag, self.off2, self.lo0, self.hi0 = diag, off2, lo0, hi0
         self.xs = [lo0, hi0]  # the shifts, ascending
         self.cs = [0, len(diag)]  # their counts, so non-decreasing
+        self.placed = 0  # the highest level with Newton samples
 
     def count(self, sigma: float, slope: bool = False):
         got = _count_below(self.diag, self.off2, sigma, slope)
@@ -161,29 +162,28 @@ class _Samples:
         return got
 
     def at_least(self, sigma: float, j: int) -> bool:
-        """count(sigma) >= j, with a pass only when no sample decides it."""
+        """count(sigma) >= j, by a pass only when no sample decides it; the
+        first such pass in a gap isolating the j-th level follows place(j)."""
         xs, cs = self.xs, self.cs
         i = bisect_left(xs, sigma)
         if cs[i] < j or xs[i] == sigma:
             return cs[i] >= j
+        if self.placed < j and cs[i - 1] == j - 1 and cs[i] == j:
+            self.placed = j
+            self.place(j)
+            return self.at_least(sigma, j)
         return cs[i - 1] >= j or self.count(sigma) >= j
 
     def place(self, j: int) -> None:
-        """Samples just below and just above the j-th lowest level: bisect
-        until the samples isolate it, take Newton steps that stay in the
-        bracket, and certify the root by counts at +-eps max(|lo0|, |hi0|),
-        widened by 4 until they straddle it."""
+        """Samples just below and just above the j-th lowest level, which the
+        samples isolate: take Newton steps that stay in its bracket, and
+        certify the root by counts at +-eps max(|lo0|, |hi0|), widened by 4
+        until they straddle it."""
         xs, cs = self.xs, self.cs
-        x = math.nan  # no Newton iterate until the samples isolate the level
+        x = math.nan  # the first step starts from the middle of the bracket
         for _ in range(200):
             i = bisect_left(cs, j)
             lo, hi = xs[i - 1], xs[i]
-            if cs[i - 1] < j - 1 or cs[i] > j:  # not isolated: bisect
-                mid = 0.5 * (lo + hi)
-                if hi - lo <= 1e-14 * max(1.0, abs(mid)):
-                    return
-                self.count(mid)
-                continue
             if not lo < x < hi:  # also catches a NaN step
                 x = 0.5 * (lo + hi)
             s = self.count(x, slope=True)[1]
@@ -206,8 +206,9 @@ class _Samples:
 def eigen_lowest(op: Tridiag, k: int) -> list[float]:
     """The k smallest eigenvalues, ascending, by Sturm-count bisection.
 
-    Newton first places count samples next to each level; the bisection
-    then runs a pass only for the counts those samples leave undecided."""
+    Each level is bisected from the Gershgorin bounds, reading its counts
+    through the samples of one `_Samples`: a pass only for a count they
+    leave undecided, with Newton samples placed at a level's first one."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 10:
@@ -223,8 +224,6 @@ def eigen_lowest(op: Tridiag, k: int) -> list[float]:
     lo0 = min(d - r for d, r in zip(diag, radius))
     hi0 = max(d + r for d, r in zip(diag, radius))
     samples = _Samples(diag, off2, lo0, hi0)
-    for j in range(1, k + 1):
-        samples.place(j)
     out = []
     for j in range(1, k + 1):
         lo, hi = lo0, hi0

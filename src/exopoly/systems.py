@@ -485,15 +485,12 @@ def _horner_nodes(coeffs: list[float], etas: list[float]) -> list[float]:
 
 
 def _quotient(num, den: list[float]) -> list[float]:
-    """num / den node by node (num a list or one float).  A zero divisor
-    gives IEEE's +-inf, or nan for 0/0, where Python raises: a node too near
-    a wall is then named by tridiag_from_potential."""
+    """num / den node by node (num a list or one float).  Where Python would
+    raise on a zero divisor, the node gets IEEE's +-inf, or nan for 0/0 and
+    nan/0: a node too near a wall is then named by tridiag_from_potential."""
     nums = num if isinstance(num, list) else [num] * len(den)
-    try:
-        return [a / b for a, b in zip(nums, den)]
-    except ZeroDivisionError:
-        return [a / b if b else math.copysign(math.inf, a) * math.copysign(1.0, b)
-                if a == a and a else math.nan for a, b in zip(nums, den)]
+    return [a / b if b else math.copysign(math.inf, a) * math.copysign(1.0, b)
+            if a == a and a else math.nan for a, b in zip(nums, den)]
 
 
 def _interior(sys: XSystem, x) -> tuple[list[float], list[float], bool]:

@@ -179,6 +179,18 @@ def test_verify_inject_needs_the_ode_residual_suite(runner):
     assert '"suite"' not in res.output
 
 
+@pytest.mark.parametrize("suites", [["orthogonality"], ["xi-equation", "orthogonality"]])
+def test_verify_exits_2_when_a_suite_cannot_finish(runner, monkeypatch, suites):
+    # beside an exact suite the float half runs in a forked child (given two
+    # CPUs), whose error is raised again in this process
+    monkeypatch.setattr(exopoly.quadrature, "_MAX_NODES", 10)
+    res = run(runner, "verify", *(arg for name in suites for arg in ("--suite", name)))
+    assert res.exit_code == 2
+    assert "case l2 (ell=1, alpha=-2, beta=None), pair (0, 0): integration non-convergence" \
+        in res.output
+    assert '"suite"' not in res.output and "Traceback" not in res.output
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

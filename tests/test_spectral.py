@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exopoly import spectral
 from exopoly.spectral import (
     DEFAULT_POINTS,
     MIN_POINTS,
@@ -102,6 +103,22 @@ def test_bit_identical_on_known_failing_points(case, params):
         sys, grid, ops = _grids(case, params)
         for op in ops:
             assert eigen_lowest(op, 10) == bisection_lowest(op, 10)
+
+
+def test_passes_on_representative_grids(monkeypatch):
+    # each call is one LDL^T pass: Newton's samples and the counts they leave
+    # undecided take 966 on the ten grids
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return _count_below(*args)
+
+    monkeypatch.setattr(spectral, "_count_below", counted)
+    for case, params in REPRESENTATIVE.items():
+        for op in _grids(case, params)[2]:
+            eigen_lowest(op, 5)
+    assert len(passes) <= 966
 
 
 def _random_tridiags(count):
