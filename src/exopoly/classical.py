@@ -20,6 +20,7 @@ criterion, the counts' one input check and their seeded sampler
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,21 +28,6 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .polycore import ETA, Interval, POS_INF, Poly, rat, rat_str, sturm_count
-
-__all__ = [
-    "binomial",
-    "laguerre",
-    "jacobi",
-    "jacobi_is_degree_degenerate",
-    "IDENTITIES",
-    "identity_residual",
-    "klein_E",
-    "TheoremHypothesisError",
-    "ZeroCountPrediction",
-    "predict_zero_count",
-    "zero_count_draws",
-    "nodeless_condition",
-]
 
 
 def _falling(top: int, step: int, k: int) -> list[int]:
@@ -100,9 +86,18 @@ def _check_laguerre_ode(n: int, alpha: Fraction, L: Poly) -> None:
         raise AssertionError(f"Laguerre construction failed its equation: n={n}, alpha={alpha}")
 
 
+def _index(n, what: str, name: str = "n") -> int:
+    """n as an int, by operator.index: ints and numpy ints pass, and a float or a
+    Fraction raises TypeError naming it, rather than being truncated or evaluated."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer (got {name}={n})") from None
+
+
 def laguerre(n: int, alpha) -> Poly:
     """Exact generalized Laguerre polynomial L_n^(alpha) of degree n."""
-    if n < 0:
+    if _index(n, "degree") < 0:
         raise ValueError("degree must be nonnegative")
     return _laguerre_cached(int(n), rat(alpha))
 
@@ -149,7 +144,7 @@ def jacobi(n: int, alpha, beta) -> Poly:
     hidden: ``poly.degree()`` exposes it and
     :func:`jacobi_is_degree_degenerate` tests for it directly.
     """
-    if n < 0:
+    if _index(n, "degree") < 0:
         raise ValueError("degree must be nonnegative")
     return _jacobi_cached(int(n), rat(alpha), rat(beta))
 
@@ -275,7 +270,7 @@ def _zero_count_args(kind: str, n: int, alpha, beta) -> tuple[Fraction, Optional
     exactly when the kind is jacobi.  Returns (alpha, beta) as rationals."""
     if kind not in ("laguerre", "jacobi"):
         raise ValueError(f"unknown kind {kind!r}")
-    if n < 0:
+    if _index(n, "degree") < 0:
         raise ValueError(f"degree must be nonnegative (got n={n})")
     if (beta is None) == (kind == "jacobi"):
         raise ValueError("a jacobi zero count needs beta" if beta is None else

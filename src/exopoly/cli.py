@@ -38,8 +38,6 @@ import click
 
 from . import __version__
 
-__all__ = ["main", "cli"]
-
 
 def _fmt_float(x: float) -> str:
     if x == 0.0:
@@ -156,7 +154,7 @@ def _point_command(body):
     from . import systems
     @cli.command()
     @click.option("--case", "case_str", type=click.Choice([c.value for c in systems.Case]),
-                  required=True)
+                  required=True, help="The deformed system.")
     @click.option("--ell", type=int, required=True, help="Deformation degree (>= 0).")
     @click.option("--alpha", required=True, help="Rational, e.g. -5/2 or -2.5.")
     @click.option("--beta", default=None, help="Rational; Jacobi-family cases only.")
@@ -189,7 +187,8 @@ def _construct():
                   help="Single polynomial family index.")
     @click.option("--nmax", type=int, default=None,
                   help="Emit levels 0..nmax instead of one index.")
-    @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
+    @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
+                  help="Exact JSON, or CSV of decimal floats.")
     def construct(sys, n_single, nmax, fmt):
         """Build a system: deforming function, polynomials, energies.
 
@@ -322,12 +321,12 @@ def _zeros():
     @cli.command()
     @click.option("--kind", type=click.Choice(["laguerre", "jacobi"]), default=None,
                   help="Single query; with --sweep omitted.")
-    @click.option("--ell", type=int, default=None)
-    @click.option("--alpha", default=None)
-    @click.option("--beta", default=None)
+    @click.option("--ell", type=int, default=None, help="Polynomial degree n, not a system's ell.")
+    @click.option("--alpha", default=None, help="Rational, e.g. -5/2 or -2.5.")
+    @click.option("--beta", default=None, help="Rational; jacobi only.")
     @click.option("--sweep", type=int, default=None,
                   help="Random admissible points to tabulate instead.")
-    @click.option("--seed", type=int, default=None)
+    @click.option("--seed", type=int, default=None, help="Seed of a --sweep only (default 7).")
     def zeros(kind, ell, alpha, beta, sweep, seed):
         """Zero-count predictions vs exact Sturm counts.  Exit 2 on a mismatch."""
         # exactly one form: a complete single query, or a sweep (seeded 7 unless
@@ -366,7 +365,7 @@ def _plotdata():
     from . import spectral, systems
     @_point_command
     @click.option("--nmax", type=int, default=3, help="Wave-function levels 0..nmax.")
-    @click.option("--points", type=int, default=500)
+    @click.option("--points", type=int, default=500, help="Interior grid points (>= 2).")
     def plotdata(sys, nmax, points):
         """CSV columns x, V(x), phi_0(x)..phi_nmax(x) on an interior grid."""
         if points < 2:

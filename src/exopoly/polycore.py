@@ -16,17 +16,6 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Sequence, Union
 
-__all__ = [
-    "rat",
-    "rat_str",
-    "Poly",
-    "ETA",
-    "ONE",
-    "Interval",
-    "sturm_count",
-    "IndeterminateRootCountError",
-]
-
 RationalLike = Union[Fraction, int, str]
 
 NEG_INF = float("-inf")

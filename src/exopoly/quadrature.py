@@ -26,12 +26,6 @@ from operator import mul
 from .polycore import Interval, Poly
 from .systems import XSystem, _horner_nodes, level_poly
 
-__all__ = [
-    "QuadratureConvergenceError",
-    "gram",
-    "GramReport",
-]
-
 _MAX_NODES = 2 ** 14  # refinement stops at the first level that reaches this many nodes
 _RTOL = 1e-12  # relative tolerance of each Gram entry
 _BLOCK = 1024  # nodes per evaluation block: bounds the Phi lists

@@ -25,20 +25,6 @@ from typing import Callable, Optional, Sequence
 
 from .systems import XSystem, energy, potential_eval
 
-__all__ = [
-    "GridSpec",
-    "Tridiag",
-    "DEFAULT_POINTS",
-    "MIN_POINTS",
-    "default_grid",
-    "tridiag_from_potential",
-    "discretize",
-    "eigen_lowest",
-    "richardson_lowest",
-    "SpectrumReport",
-    "compare_spectrum",
-]
-
 # documented truncation defaults: wave functions decay like gaussians times
 # powers on the half line and like powers of the wall distance on (0, pi/2),
 # so these boxes put the truncation error far below the 1e-3 target

@@ -32,30 +32,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .classical import TheoremHypothesisError, jacobi, laguerre, nodeless_condition
+from .classical import TheoremHypothesisError, _index, jacobi, laguerre, nodeless_condition
 from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, rat_str, sturm_count
-
-__all__ = [
-    "Case",
-    "Params",
-    "ParameterError",
-    "NodelessnessError",
-    "ConstructionError",
-    "WeightExponents",
-    "XSystem",
-    "build_system",
-    "energy",
-    "family_energy",
-    "exceptional_poly",
-    "shifted_form_poly",
-    "level_poly",
-    "family_index",
-    "proportionality",
-    "ode_residual",
-    "xi_equation_residual",
-    "potential_eval",
-    "wavefunction_eval",
-]
 
 
 class Case(str, Enum):
@@ -345,7 +323,7 @@ def build_system(case: Case, params: Params) -> XSystem:
 
 def family_energy(sys: XSystem, n: int) -> Fraction:
     """Eigenvalue attached to the n-th member of the polynomial family."""
-    if n < 0:
+    if _index(n, "family index") < 0:
         raise ValueError("family index must be nonnegative")
     return sys._energies(n)
 
@@ -358,7 +336,7 @@ def family_index(sys: XSystem, level: int) -> Optional[int]:
     k >= 1 maps to family member k-1.  For every other case level n is
     family member n.
     """
-    if level < 0:
+    if _index(level, "level", "level") < 0:
         raise ValueError("level must be nonnegative")
     if sys.case is not Case.EXTJ:
         return level
@@ -387,7 +365,7 @@ def exceptional_poly(sys: XSystem, n: int) -> Poly:
     functions) and ell+n+1 for extj.  Each member is built once per system,
     and later calls return the same Poly.
     """
-    if n < 0:
+    if _index(n, "family index") < 0:
         raise ValueError("family index must be nonnegative")
     P = sys._family.get(n)
     if P is None:

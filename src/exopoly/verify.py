@@ -52,16 +52,6 @@ from .systems import (
     xi_equation_residual,
 )
 
-__all__ = [
-    "VerifyOutcome",
-    "SUITES",
-    "MUTANTS",
-    "grid_params",
-    "grid_systems",
-    "run_suite",
-    "run_suites",
-]
-
 
 @dataclass
 class VerifyOutcome:

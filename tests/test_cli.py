@@ -447,6 +447,14 @@ def test_point_commands_share_their_point_options():
         assert leading(name) == leading("construct")
 
 
+def test_every_option_has_help():
+    # --case, construct --format, plotdata --points and four zeros options once printed none
+    ctx = click.Context(cli)
+    bare = [(name, param.opts) for name in cli.list_commands(ctx)
+            for param in cli.get_command(ctx, name).params
+            if isinstance(param, click.Option) and not param.hidden and not param.help]
+    assert bare == []
+
 @pytest.mark.parametrize("command", [
     ["ortho", "--nmax", "1"],
     ["spectrum", "--x-min", "2", "--x-max", "1"],

@@ -2,6 +2,7 @@
 in sys.modules but run only at first use, so a command runs only the layers it
 calls, and each public name, resolved from the submodule that defines it."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -184,3 +185,18 @@ def test_names_resolve_from_their_submodules():
                  "else:\n"
                  "    sys.exit('no AttributeError')")
     assert res.returncode == 0, res.stderr
+
+
+def test_each_name_is_defined_where_the_table_places_it():
+    # the table is the one record of each public name's home: a name only
+    # imported there (Poly under systems, say) would still resolve
+    src = Path(exopoly.__file__).parent
+    for module, names in exopoly._EXPORTS.items():
+        defined = set()
+        for node in ast.parse((src / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        assert set(names) <= defined, (module, sorted(set(names) - defined))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import statistics
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exopoly.classical import laguerre
+from exopoly.classical import count_zeros_exact, jacobi, laguerre, predict_zero_count
 from exopoly.polycore import Interval, ONE, POS_INF, Poly, sturm_count
 from exopoly.systems import (
     Case,
@@ -319,6 +320,36 @@ def test_negative_level_is_rejected_as_a_level():
             with pytest.raises(ValueError, match="^level must be nonnegative$"):
                 call(sys, -1)
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda sys: laguerre(2.5, 1), "degree must be an integer (got n=2.5)"),
+    (lambda sys: laguerre(F(5, 2), 1), "degree must be an integer (got n=5/2)"),
+    (lambda sys: jacobi(1.9, 0, 0), "degree must be an integer (got n=1.9)"),
+    (lambda sys: predict_zero_count("laguerre", 2.5, "1/2"),
+     "degree must be an integer (got n=2.5)"),
+    (lambda sys: count_zeros_exact("jacobi", 2.5, "1/2", "1/2"),
+     "degree must be an integer (got n=2.5)"),
+    (lambda sys: energy(sys, 1.5), "level must be an integer (got level=1.5)"),
+    (lambda sys: family_index(sys, 1.5), "level must be an integer (got level=1.5)"),
+    (lambda sys: family_energy(sys, 0.5), "family index must be an integer (got n=0.5)"),
+    (lambda sys: exceptional_poly(sys, 1.5), "family index must be an integer (got n=1.5)"),
+], ids=["laguerre", "laguerre-fraction", "jacobi", "predict_zero_count", "count_zeros_exact",
+        "energy", "family_index", "family_energy", "exceptional_poly"])
+def test_a_degree_or_index_that_is_not_an_integer_is_rejected(call, message):
+    # these once truncated (laguerre(2.5, 1) was L_2), evaluated a polynomial
+    # in n off the spectrum (energy 10 at level 1.5 on l2 (1, -2)) or failed
+    # deep inside the construction
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(build_system(Case.L2, Params(1, F(-2))))
+
+
+def test_numpy_int_degrees_and_indices_pass():
+    sys = build_system(Case.L2, Params(1, F(-2)))
+    assert laguerre(np.int64(2), 1) == laguerre(2, 1)
+    assert jacobi(np.int32(3), F(1, 2), F(-1, 3)) == jacobi(3, F(1, 2), F(-1, 3))
+    assert predict_zero_count("laguerre", np.int64(2), "1/2").count == 2
+    assert energy(sys, np.int64(2)) == energy(sys, 2) == 12
+    assert exceptional_poly(sys, np.int64(1)) == exceptional_poly(sys, 1)
 
 def test_spectra_increasing_and_positive_on_grid():
     for sys in all_systems():
