@@ -9,12 +9,13 @@ transcription error cannot survive construction.  The check runs power by
 power: the equation applied to sum c_k eta^k is one integer identity per k
 among c_k, c_{k+1} and c_{k+2}, the same condition as a zero residual
 polynomial in O(n) integer operations.  Constructed polynomials are kept in
-one least-recently-used cache per family, bounded at 1,024 entries so that
-the working set of `verify` fits (see `_CACHE_ENTRIES`).  The module also
-provides the derivative/contiguity identity suite and the zero-count theory:
-counts on the positive axis and on (-1, 1), the Klein symbol, the nodelessness
-criterion, the counts' one input check and their seeded sampler
-(`zero_count_draws`, through the one rational sampler `_random_rational`).
+one memo per family, cleared a whole generation at a time when it reaches
+1,024 entries, a bound that holds the working set of `verify` (see
+`_CACHE_ENTRIES`).  The module also provides the derivative/contiguity
+identity suite and the zero-count theory: counts on the positive axis and on
+(-1, 1), the Klein symbol, the nodelessness criterion, the counts' one input
+check and their seeded sampler (`zero_count_draws`, through the one rational
+sampler `_random_rational`).
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from __future__ import annotations
 import math
 import operator
 import random
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import update_wrapper
 from typing import Iterator, Optional
 
 from .polycore import ETA, Interval, POS_INF, Poly, rat, rat_str, sturm_count
@@ -53,16 +56,64 @@ class TheoremHypothesisError(ValueError):
 # construction
 # ---------------------------------------------------------------------------
 
-# Entries per family cache, not bytes.  Sized to verify's working set: its
+# Entries per family memo, not bytes.  Sized to verify's working set: its
 # eight suites, run in one process from cold caches, build 557 distinct Jacobi
 # and 263 Laguerre polynomials, and 1024 is the least power of two that holds
-# both with no eviction (at 512 Jacobi evicts 45 entries; at 256 verify loses
-# 14 hits).  A system keeps its own family members (systems.XSystem._family),
-# so a larger bound mostly holds memory for points a run has left behind.
+# both, so verify, like every CLI command, never reaches the bound.  A system
+# keeps its own family members (systems.XSystem._family), so a larger bound
+# mostly holds memory for points a run has left behind.  exact-deep asks for
+# ~16,500 distinct polynomials per 800 points, so there a full memo is cleared
+# whole: evicting the oldest entry one at a time left pymalloc's pools half
+# live, and the process kept taking new ones (in process, over the same 2,500
+# points, 13 arenas and 27.6 MB peak with functools.lru_cache(1024) against 10
+# arenas and 24.7 MB with the whole-generation flush).
 _CACHE_ENTRIES = 1024
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
+
+def _generational(build):
+    """``build`` memoized on its arguments in one dict that a miss clears whole
+    when it already holds _CACHE_ENTRIES entries.  ``cache_info()`` and
+    ``cache_clear()`` behave as functools' do: hits and misses count on across
+    flushes, and only cache_clear() resets them.  As in functools' Python
+    version, a lock guards the counters and the dict; the build runs outside it."""
+    table: dict = {}
+    hits = misses = 0
+    lock = threading.Lock()
+
+    def cached(*key) -> Poly:
+        # keyed on the arguments, Fractions as given: keys of their int ratios
+        # look up faster but left exact-deep's peak 0.4-1.1 MB higher
+        nonlocal hits, misses
+        with lock:
+            out = table.get(key)
+            if out is not None:
+                hits += 1
+                return out
+            misses += 1
+        out = build(*key)
+        with lock:
+            if len(table) >= _CACHE_ENTRIES:
+                table.clear()
+            table[key] = out
+        return out
+
+    def cache_info() -> _CacheInfo:
+        with lock:
+            return _CacheInfo(hits, misses, _CACHE_ENTRIES, len(table))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        with lock:
+            hits = misses = 0
+            table.clear()
+
+    cached.cache_info, cached.cache_clear = cache_info, cache_clear
+    return update_wrapper(cached, build)
+
+
+@_generational
 def _laguerre_cached(n: int, alpha: Fraction) -> Poly:
     # sum_k (-1)^k C(n+alpha, n-k) eta^k / k! over the common denominator
     # q^n n! (alpha = p/q): the k-th numerator is
@@ -102,7 +153,7 @@ def laguerre(n: int, alpha) -> Poly:
     return _laguerre_cached(int(n), rat(alpha))
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
+@_generational
 def _jacobi_cached(n: int, alpha: Fraction, beta: Fraction) -> Poly:
     # sum_m C(n+alpha, n-m) C(n+alpha+beta+m, m) ((eta-1)/2)^m: no vanishing
     # prefactors at negative parameters, unlike the three-term recurrence.

@@ -7,6 +7,7 @@ import pytest
 
 from exopoly.classical import (
     IDENTITIES,
+    _CACHE_ENTRIES,
     _check_jacobi_ode,
     _check_laguerre_ode,
     _jacobi_cached,
@@ -221,17 +222,83 @@ def test_coefficientwise_self_check_catches_one_perturbed_coefficient(check, par
 
 
 def test_classical_caches_stop_at_their_bound():
-    # 2,000 distinct constructions per family: the caches keep the newest
-    # _CACHE_ENTRIES, whatever fits in memory
-    from exopoly.classical import _CACHE_ENTRIES
-
+    # 2,000 distinct constructions per family: a miss that finds the memo full
+    # clears it whole, so it never holds more than _CACHE_ENTRIES, whatever
+    # fits in memory
     for cached, build in ((_jacobi_cached, lambda k: jacobi(1, k, F(1, 2))),
                           (_laguerre_cached, lambda k: laguerre(1, k))):
         cached.cache_clear()
         for k in range(2000):
             build(k)
+            info = cached.cache_info()
+            assert info.currsize <= _CACHE_ENTRIES, (k, info)
+            if k == _CACHE_ENTRIES:  # the 1,025th distinct build starts a generation
+                assert info.currsize == 1, info
         info = cached.cache_info()
-        assert info.currsize == info.maxsize == _CACHE_ENTRIES == 1024, info
+        assert info.maxsize == _CACHE_ENTRIES == 1024, info
+        assert info.currsize == 976 and info.hits + info.misses == 2000, info
+
+
+def test_classical_cache_flush_frees_its_generation():
+    # one-at-a-time eviction would free a single entry here; the flush frees
+    # the whole generation the 1,024 builds made
+    import tracemalloc
+
+    _jacobi_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(_CACHE_ENTRIES):
+            jacobi(16, F(k, 7), F(-1, 3))
+        full = tracemalloc.get_traced_memory()[0]
+        jacobi(16, F(-1, 7), F(-1, 3))
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        _jacobi_cached.cache_clear()
+    assert full - after >= (full - before) / 2, (before, full, after)
+
+
+def test_classical_cache_counters_survive_a_flush():
+    # perfbench/tracer.py reads these counters over a whole run, and reports 0
+    # without a word if cache_info is missing
+    _laguerre_cached.cache_clear()
+    for k in range(_CACHE_ENTRIES):
+        laguerre(2, k)
+    laguerre(2, 0)
+    assert _laguerre_cached.cache_info() == (1, _CACHE_ENTRIES, _CACHE_ENTRIES, _CACHE_ENTRIES)
+    laguerre(2, -1)  # a miss on a full memo: the flush
+    laguerre(2, -1)
+    laguerre(2, 0)  # built again in the new generation
+    assert _laguerre_cached.cache_info() == (2, _CACHE_ENTRIES + 2, _CACHE_ENTRIES, 2)
+    _laguerre_cached.cache_clear()
+    assert _laguerre_cached.cache_info() == (0, 0, _CACHE_ENTRIES, 0)
+
+
+def test_classical_cache_counts_every_call_from_threads():
+    # eight threads share one memo through flushes, switching every
+    # microsecond: no count is lost and the bound holds at every store
+    import concurrent.futures
+    import sys
+
+    def build(t):
+        for k in range(2000):
+            laguerre(8, F(k, t + 2))
+            laguerre(8, F(k, t + 2))
+            assert _laguerre_cached.cache_info().currsize <= _CACHE_ENTRIES
+
+    _laguerre_cached.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(build, t) for t in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    info = _laguerre_cached.cache_info()
+    _laguerre_cached.cache_clear()
+    assert info.hits + info.misses == 8 * 2000 * 2 and info.currsize <= _CACHE_ENTRIES, info
 
 
 def test_identity_spot_checks():
