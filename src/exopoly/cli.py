@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import difflib
 import functools
-import math
 import sys as _sys
 from fractions import Fraction
 from itertools import islice
@@ -285,9 +284,8 @@ def _ortho():
 
 def _spectrum():
     from . import spectral
-    (lo, hi), (jlo, jhi) = spectral._LAGUERRE_BOX, spectral._JACOBI_BOX
-    box = (f"(default box: {lo:g}..{hi:g} on the half line, "
-           f"{jlo:g}..pi/2-{math.pi / 2 - jhi:g} on (0, pi/2))")
+    m, end = spectral.WALL_MARGIN, spectral.HALF_LINE_END
+    box = f"(default box: {m:g}..{end:g} on the half line, {m:g}..pi/2-{m:g} on (0, pi/2))"
 
     @_point_command
     @click.option("-k", "--levels", "k", type=int, default=5, help="Lowest k levels (<= 10).")

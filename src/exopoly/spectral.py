@@ -25,11 +25,11 @@ from typing import Callable, Optional, Sequence
 
 from .systems import XSystem, energy, potential_eval
 
-# documented truncation defaults: wave functions decay like gaussians times
-# powers on the half line and like powers of the wall distance on (0, pi/2),
-# so these boxes put the truncation error far below the 1e-3 target
-_LAGUERRE_BOX = (1e-3, 12.0)
-_JACOBI_BOX = (1e-3, math.pi / 2 - 1e-3)
+# documented truncation defaults: wave functions decay like gaussians times powers
+# on the half line and like powers of the wall distance, so a box WALL_MARGIN inside
+# each finite wall, ending at HALF_LINE_END on the half line, truncates far below 1e-3
+WALL_MARGIN = 1e-3
+HALF_LINE_END = 12.0
 
 DEFAULT_POINTS = 999  # interior points of the fine grid; its coarse partner has 499
 MIN_POINTS = 201  # the smallest fine grid whose coarse partner still has 100 points
@@ -73,8 +73,9 @@ class Tridiag:
 
 
 def default_grid(sys: XSystem, points: int = DEFAULT_POINTS) -> GridSpec:
-    lo, hi = _LAGUERRE_BOX if sys.case.is_laguerre else _JACOBI_BOX
-    return GridSpec(lo, hi, points)
+    walls = sys.walls  # the box stops WALL_MARGIN short of each
+    hi = walls[1].x - WALL_MARGIN if len(walls) > 1 else HALF_LINE_END
+    return GridSpec(walls[0].x + WALL_MARGIN, hi, points)
 
 
 def tridiag_from_potential(v: Callable[[list[float]], Sequence[float]], grid: GridSpec) -> Tridiag:

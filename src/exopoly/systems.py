@@ -4,9 +4,11 @@ Each system lives on a sinusoidal coordinate (eta = x^2 on the half line, or
 eta = cos 2x on (0, pi/2)).  It is stated by its case, its parameters, a
 polynomial deforming function xi(eta) and an eigenfunction prefactor; Q, the
 xi-equation coefficients, the potential and the orthogonality weight follow
-from the exponents of the case's prepotential W0.  The wave functions are
-e^W0 / xi times a prefactored polynomial; the energies are exact rationals,
-built once per system as a polynomial in the family index n.
+from the exponents of the case's prepotential W0, and so do its `walls`: each
+finite wall's x, the exact exponent nu of the eigenfunctions' x^nu there, and
+g = nu (nu - 1) of the potential's g/x^2.  The wave functions are e^W0 / xi
+times a prefactored polynomial; the energies are exact rationals, built once
+per system as a polynomial in the family index n.
 
 Cases
 -----
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .classical import TheoremHypothesisError, _index, jacobi, laguerre, nodeless_condition
 from .polycore import ETA, Interval, ONE, POS_INF, Poly, rat, rat_str, sturm_count
@@ -86,6 +88,13 @@ class WeightExponents:
     c: Fraction
 
 
+class Wall(NamedTuple):
+    """A finite wall at x: eigenfunctions vanish like d^nu at distance d, V ~ g/d^2."""
+    x: float
+    nu: Fraction
+    g: Fraction
+
+
 _HALF = Fraction(1, 2)
 
 
@@ -138,6 +147,14 @@ class XSystem:
         if self.case.is_laguerre:
             return (Fraction(self.c2_sign, 2), -(a + _HALF) / 2, Fraction(0), Fraction(0))
         return (Fraction(0), Fraction(0), -(a + _HALF) / 2, -(b + _HALF) / 2)
+
+    @cached_property
+    def walls(self) -> tuple[Wall, ...]:
+        """The finite walls, from x = 0 up; nu is twice the exponent in e^W0 times the
+        prefactor of eta (half line), or of 1 - eta at 0 and 1 + eta at pi/2."""
+        _, a, b, c = (2 * (w + p) for w, p in zip(self.w0_exponents, self.p_prefactor))
+        nus = ((0.0, a),) if self.case.is_laguerre else ((0.0, b), (math.pi / 2, c))
+        return tuple(Wall(x, nu, nu * (nu - 1)) for x, nu in nus)
 
     @cached_property
     def Q(self) -> Poly:
@@ -487,17 +504,16 @@ def _interior(sys: XSystem, x) -> tuple[list[float], list[float], bool]:
 
 
 def _v0(sys: XSystem, xs: list[float], eta: list[float]) -> list[float]:
-    """The undeformed part W0'^2 + W0'' of the potential, node by node."""
-    a = sys.params.alpha
-    g = float((a + _HALF) * (a + Fraction(3, 2)))
+    """The undeformed part W0'^2 + W0'' of the potential, node by node: g/d^2 at a wall."""
+    a, walls = sys.params.alpha, sys.walls
+    g = float(walls[0].g)
     if sys.case.is_laguerre:  # eta = x^2
         shift = 2 * sys.c2_sign * float(a)
         return [u + w - shift for u, w in zip(eta, _quotient(g, eta))]
-    b = sys.params.beta
-    h = float((b + _HALF) * (b + Fraction(3, 2)))
+    h = float(walls[1].g)
     ss = [s * s for s in map(math.sin, xs)]
     cc = [c * c for c in map(math.cos, xs)]
-    shift = float(a + b + 1) ** 2
+    shift = float(a + sys.params.beta + 1) ** 2
     return [u + w - shift for u, w in zip(_quotient(g, ss), _quotient(h, cc))]
 
 
@@ -522,13 +538,12 @@ def wavefunction_eval(sys: XSystem, level: int, x):
     sequence of floats for a list of values."""
     xs, eta, single = _interior(sys, x)
     P = level_poly(sys, level)
-    s, a, b, c = (w + p for w, p in zip(sys.w0_exponents, sys.p_prefactor))  # e^W0 * prefactor
-    if sys.case.is_laguerre:
-        exp_coeff = float(s)       # coefficient of eta = x^2 in the exponent
-        x_power = float(2 * a)     # eta^k = x^(2k)
+    if sys.case.is_laguerre:  # e^W0 * prefactor = e^(s x^2) x^nu
+        exp_coeff = float(sys.w0_exponents[0] + sys.p_prefactor[0])
+        x_power = float(sys.walls[0].nu)
         value = [math.exp(exp_coeff * (t * t)) * t ** x_power for t in xs]
-    else:  # 1 - eta = 2 sin^2 x, 1 + eta = 2 cos^2 x
-        u, v = float(b), float(c)
+    else:  # (1 - eta)^(nu/2) (1 + eta)^(nu'/2): 1 - eta = 2 sin^2 x, 1 + eta = 2 cos^2 x
+        u, v = (float(w.nu / 2) for w in sys.walls)
         value = [(2 * math.sin(t) ** 2) ** u * (2 * math.cos(t) ** 2) ** v for t in xs]
     top = [w * p for w, p in zip(value, _horner_nodes(P.float_coeffs(), eta))]
     psi = _quotient(top, _horner_nodes(sys.xi.float_coeffs(), eta))

@@ -253,7 +253,7 @@ def test_l1_spectrum():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: at l1 alpha = -1/2 the wall x = 0 has nu = 1 (g = 0), so "
+    "ROADMAP item 9: at l1 alpha = -1/2 the wall x = 0 has nu = 1 (g = 0), so "
     "Dirichlet is right and the whole error is the 1e-3 margin's cost "
     "delta^(2nu-1) = delta: about 1.13e-3 at every ell"))
 @pytest.mark.parametrize("ell", range(4))
@@ -373,9 +373,10 @@ def test_operator_residual_on_analytic_eigenfunctions():
 
 
 def test_default_grids():
-    lag = default_grid(build_system(Case.L2, Params(1, F(-2))))
-    assert (lag.x_min, lag.x_max) == (1e-3, 12.0)
-    jac = default_grid(build_system(Case.J1, Params(1, F(1, 2), F(-2))))
-    assert jac.x_max == pytest.approx(math.pi / 2 - 1e-3)
+    # the box stops 1e-3 short of each wall in `walls`, and the half line ends at 12
+    for case, params in REPRESENTATIVE.items():
+        grid = default_grid(build_system(case, params))
+        box = (1e-3, 12.0) if case.is_laguerre else (1e-3, math.pi / 2 - 1e-3)
+        assert (grid.x_min, grid.x_max, grid.points) == (*box, DEFAULT_POINTS), case
     assert isinstance(compare_spectrum(build_system(Case.L2, Params(1, F(-2))), 2,
                                        GridSpec(1e-3, 12.0, 800)), SpectrumReport)

@@ -1,10 +1,13 @@
 """System construction: deforming functions, eigenpolynomials, potentials."""
 
+import json
 import math
 import random
 import re
 import statistics
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -31,7 +34,7 @@ from exopoly.systems import (
     proportionality,
     wavefunction_eval,
 )
-from exopoly.verify import REPRESENTATIVE, grid_params
+from exopoly.verify import REPRESENTATIVE, grid_params, grid_systems
 
 from oracles import (
     exact_at,
@@ -542,6 +545,51 @@ def test_residual_operator_equals_the_substitution():
             P1 = P.derivative()
             assert A * P1.derivative() + B * P1 + (C + E * D) * P == substituted(sys, P, E)
         assert sys.residual_operator is sys.residual_operator
+
+
+# ---------------------------------------------------------------------------
+# walls
+# ---------------------------------------------------------------------------
+
+CATALOGUE = Path(__file__).parents[1] / "perfbench" / "catalogue.json"
+
+
+def catalogue_points():
+    """The benchmark's 107 fixed and drawn points: (case, params, failing commands)."""
+    data = json.loads(CATALOGUE.read_text())
+    return [(Case(e["case"]), Params(e["ell"], F(e["alpha"]),
+                                     None if e["beta"] is None else F(e["beta"])), e["fails"])
+            for e in data["cli_fixed"] + data["cli_draws"]]
+
+
+def test_wall_g_is_the_potentials_coefficient():
+    # g = nu (nu - 1) from the exponents is (alpha + 1/2)(alpha + 3/2) at x = 0 and
+    # (beta + 1/2)(beta + 3/2) at pi/2: the undeformed and the deformed nu both give it
+    systems = [*grid_systems(ells=(0, 1, 2, 3)),
+               *(build_system(case, params) for case, params, _ in catalogue_points())]
+    assert len(systems) == 60 + 107
+    for sys in systems:
+        a, b = sys.params.alpha, sys.params.beta
+        want = [(0.0, (a + F(1, 2)) * (a + F(3, 2)))]
+        if not sys.case.is_laguerre:
+            want.append((math.pi / 2, (b + F(1, 2)) * (b + F(3, 2))))
+        assert [(w.x, w.g) for w in sys.walls] == want, sys.label
+        assert all(type(w.nu) is F and w.g == w.nu * (w.nu - 1) for w in sys.walls)
+        assert sys.walls is sys.walls
+
+
+def test_catalogue_wall_classes():
+    # by the smallest nu: nu >= 3/2 at every wall (limit-point), a wall with
+    # 1/2 < nu < 3/2 (limit-circle, the paper's solution the principal one), or a
+    # wall with nu <= 1/2; the recorded spectrum failures fall in the last two
+    classes, spectrum_fails = Counter(), Counter()
+    for case, params, fails in catalogue_points():
+        nu = min(w.nu for w in build_system(case, params).walls)
+        cls = ">= 3/2" if nu >= F(3, 2) else "(1/2, 3/2)" if nu > F(1, 2) else "<= 1/2"
+        classes[cls] += 1
+        spectrum_fails[cls] += "spectrum" in fails
+    assert classes == {">= 3/2": 85, "(1/2, 3/2)": 11, "<= 1/2": 11}
+    assert spectrum_fails == {">= 3/2": 0, "(1/2, 3/2)": 4, "<= 1/2": 11}
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import math
 import os
 import signal
 import threading
+from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from exopoly import verify
+from exopoly import spectral, verify
 from exopoly.classical import _jacobi_cached, _laguerre_cached, laguerre
 from exopoly.polycore import ETA
 from exopoly.quadrature import QuadratureConvergenceError
@@ -17,6 +19,7 @@ from exopoly.systems import (
     Case,
     ParameterError,
     Params,
+    XSystem,
     build_system,
     exceptional_poly,
     ode_residual,
@@ -165,6 +168,107 @@ def test_xi_equation_residual_detects_a_wrong_constant():
         assert xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E).is_zero
         # the residual then is xi itself, nonzero
         assert xi_equation_residual(sys.c2, sys.c1, sys.xi, sys.xi_tilde_E + 1) == sys.xi
+
+
+# ---------------------------------------------------------------------------
+# a seeded defect fails its own suite
+# ---------------------------------------------------------------------------
+
+
+def _flip_a_sign_in_an_identity(monkeypatch):
+    real = verify.identity_residual
+
+    def residual(name, ell, alpha, beta=None):
+        if name != "L-2":
+            return real(name, ell, alpha, beta)
+        # L-2 is L_ell^(a) + L_(ell-1)^(a+1) - L_ell^(a+1); its middle sign flipped
+        return laguerre(ell, alpha) - laguerre(ell - 1, alpha + 1) - laguerre(ell, alpha + 1)
+
+    monkeypatch.setattr(verify, "identity_residual", residual)
+
+
+def _xi_tilde_E_plus_one(monkeypatch):
+    # the property shadows the value each built system keeps; build_system itself
+    # rejects the defect, so the grid must be built (by the clean run) before it
+    real = XSystem.xi_tilde_E.func
+    monkeypatch.setattr(XSystem, "xi_tilde_E", property(lambda sys: real(sys) + 1))
+
+
+def _shift_the_l2_xi_wrongly(monkeypatch):
+    real = verify.shifted_form_poly
+
+    def shifted(sys, n):
+        if sys.case is not Case.L2:
+            return real(sys, n)
+        ell, a = sys.params.ell, sys.params.alpha
+        U = laguerre(n, -a)
+        # the shifted xi taken at alpha, where the form has alpha - 1
+        return (a + ell) * U * laguerre(ell, a) - ETA * U.derivative() * sys.xi
+
+    monkeypatch.setattr(verify, "shifted_form_poly", shifted)
+
+
+def _jacobi_prediction_plus_one(monkeypatch):
+    real = verify.zero_count_draws
+
+    def draws(seed):
+        for pred in real(seed):
+            if pred.branch == "jacobi_interval":  # a namespace: the dataclass caps count at n
+                pred = SimpleNamespace(**{**vars(pred), "count": pred.count + 1})
+            yield pred
+
+    monkeypatch.setattr(verify, "zero_count_draws", draws)
+
+
+def _weight_exponent_off(monkeypatch):
+    real = XSystem.weight.func
+
+    def weight(sys):  # the exponent of the factor that vanishes at x = 0
+        w = real(sys)
+        name = "a" if sys.case.is_laguerre else "b"
+        return replace(w, **{name: getattr(w, name) + Fraction(1, 10**6)})
+
+    monkeypatch.setattr(XSystem, "weight", property(weight))
+
+
+def _one_energy_off(monkeypatch):
+    real = spectral.energy
+
+    def energy(sys, level):
+        off = sys.case is Case.J1 and level == 2
+        return real(sys, level) * (Fraction(1002, 1000) if off else 1)
+
+    monkeypatch.setattr(spectral, "energy", energy)
+
+
+# suite: (the seeded defect, the failures it causes, a text in each failing label)
+SEEDED = {
+    "identities": (_flip_a_sign_in_an_identity, 20, "L-2 fails"),  # one L-2 check per draw
+    "xi-equation": (_xi_tilde_E_plus_one, 60, "xi-equation fails"),  # every system
+    "shifted-form": (_shift_the_l2_xi_wrongly, 54, " l2 "),  # 9 l2 systems x 6 members
+    "zero-count": (_jacobi_prediction_plus_one, 108, "jacobi n="),  # every jacobi draw
+    "orthogonality": (_weight_exponent_off, 5, "max off-diagonal"),  # every point
+    "spectrum": (_one_energy_off, 1, "j1: max eigenvalue error 1.9"),
+}
+
+
+@pytest.fixture
+def fresh_grid():
+    """verify's canonical systems cleared before and after: a defect may leave
+    its value in a cached property of one, and no other test may see it."""
+    verify._grid_at.cache_clear()
+    yield
+    verify._grid_at.cache_clear()
+
+
+@pytest.mark.parametrize("suite", list(SEEDED))
+def test_a_seeded_defect_fails_its_suite(fresh_grid, monkeypatch, suite):
+    seed, failures, label = SEEDED[suite]
+    assert run_suite(suite).passed
+    seed(monkeypatch)
+    out = run_suite(suite)
+    assert (out.passed, out.failures) == (False, failures)
+    assert out.details and all(label in d for d in out.details), out.details
 
 
 # ---------------------------------------------------------------------------
