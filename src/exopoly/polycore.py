@@ -245,10 +245,9 @@ ONE = Poly([1])
 class Interval:
     """Real interval with per-endpoint open/closed flags.
 
-    Bounds are Fractions for exact work; float('+/-inf') marks half-infinite
-    intervals and plain floats are tolerated for purely numeric domains
-    (e.g. an x-domain ending at pi/2).  Exact root counting insists on
-    Fraction-or-infinite bounds.
+    Bounds are Fractions, and float('+/-inf') marks half-infinite
+    intervals.  Exact root counting insists on Fraction-or-infinite bounds;
+    tanh-sinh quadrature reads them as floats.
     """
 
     lo: Union[Fraction, float]

@@ -7,9 +7,10 @@ singularities of the weights without case analysis.  Each node carries its
 distance from each finite endpoint, computed directly, and the weight's
 endpoint factors are taken from those distances: near an end the node
 itself rounds to the endpoint long before its distance leaves the float
-range.  Semi-infinite domains are brought to (0, 1) by eta = t / (1 - t),
-which presumes integrands with at least exponential decay (true of every
-weight here).  One rule, refined level by level, serves each Gram matrix:
+range.  A half line is the unit interval's rule, each node t of (0, 1)
+mapped by eta = t / (1 - t) = d_lo / d_hi, its distances from 0 and 1; this
+presumes integrands with at least exponential decay (true of every weight
+here).  One rule, refined level by level, serves each Gram matrix:
 every entry must pass the adaptive criterion under the same node cap, a
 failure names the pair of levels, and an entry beyond the float range names
 the level.  Everything runs over plain Python floats, with exp and log from
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from operator import mul
 
@@ -30,6 +32,7 @@ _MAX_NODES = 2 ** 14  # refinement stops at the first level that reaches this ma
 _RTOL = 1e-12  # relative tolerance of each Gram entry
 _BLOCK = 1024  # nodes per evaluation block: bounds the Phi lists
 _ETA_CAP = 1e6  # drop mapped nodes beyond this on semi-infinite domains
+_UNIT = Interval(Fraction(0), Fraction(1))  # the rule a half line maps
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -55,43 +58,38 @@ def _ts_points(domain: Interval, level: int):
 
     Level 1 is the complete rule at step h = 2^-level = 1/2; above it only
     the odd multiples of h appear (the nodes absent from level-1), so
-    S(level) = S(level-1)/2 + sum(new weights * new values).  Each node's
-    distance delta from the nearer end of (-1, 1) is computed directly, and
-    a node is kept while that distance is positive, even where the node
-    itself rounds to the endpoint.
+    S(level) = S(level-1)/2 + sum(new weights * new values).  At u = k h,
+    z = pi/2 sinh(u), each node's distance from the nearer end of (-1, 1) is
+    1 - tanh(z) = 2 / (e^(2z) + 1), computed directly, and a node is kept
+    while that distance is positive, even where the node itself rounds to
+    the endpoint.  A half line (lo, inf) is the unit interval's rule: each
+    node t of (0, 1), with d_lo and d_hi its distances from 0 and 1, maps to
+    eta - lo = t / (1 - t) = d_lo / d_hi, its weight times the Jacobian
+    1 / (1 - t)^2 = 1 / d_hi^2.
     """
     lo, hi = float(domain.lo), float(domain.hi)
-    h = 2.0 ** (-level)
     if math.isinf(hi):
-        # t runs over (0, 1); eta = t/(1-t) maps onto (0, inf), shifted by lo
-        if level == 1:
-            yield lo + 1.0, 1.0, math.inf, 0.5 * (0.5 * math.pi) * h * 4.0  # t = 1/2
-        for delta, w in _ts_steps(h, level):
-            d = 0.5 * delta  # distance of t from the nearer endpoint
-            if d > 0.0:
-                # t = d, and t = 1 - d evaluated cancellation-free
-                for eta, jac in ((d / (1.0 - d), 1.0 / (1.0 - d) ** 2), ((1.0 - d) / d, 1.0 / (d * d))):
-                    if 0.0 < eta < _ETA_CAP:
-                        yield lo + eta, eta, math.inf, 0.5 * w * jac
+        for _, t_lo, t_hi, weight in _ts_points(_UNIT, level):
+            eta = t_lo / t_hi
+            if 0.0 < eta < _ETA_CAP:
+                # pow and a product can round a square an ulp apart: t_hi ** 2
+                # on the lower half of (0, 1) and t_hi * t_hi on the upper half
+                # give each node the bits of the rule derived on t = d and
+                # t = 1 - d directly (tests/oracles.py, half_line_points)
+                jac = 1.0 / (t_hi ** 2 if t_lo < t_hi else t_hi * t_hi)
+                yield lo + eta, eta, math.inf, weight * jac
         return
-    half = 0.5 * (hi - lo)
+    half, h = 0.5 * (hi - lo), 2.0 ** (-level)
     if level == 1:
         yield 0.5 * (hi + lo), half, half, half * (0.5 * math.pi) * h
-    for delta, w in _ts_steps(h, level):
-        d = half * delta
-        if d > 0.0:
-            yield lo + d, d, 2 * half - d, half * w
-            yield hi - d, 2 * half - d, d, half * w
-
-
-def _ts_steps(h: float, level: int):
-    """(delta, w) at the abscissae u = k h of one refinement step: delta =
-    1 - tanh(z) for z = pi/2 sinh(u), by 2 / (e^(2z) + 1) without
-    cancellation, and w the tanh-sinh weight at u."""
     for k in range(1, int(4.0 / h) + 1, 1 if level == 1 else 2):
         u = k * h
         z = 0.5 * math.pi * math.sinh(u)
-        yield 2.0 / (math.exp(2 * z) + 1.0), 0.5 * math.pi * math.cosh(u) / math.cosh(z) ** 2 * h
+        d = half * (2.0 / (math.exp(2 * z) + 1.0))
+        if d > 0.0:
+            w = half * (0.5 * math.pi * math.cosh(u) / math.cosh(z) ** 2 * h)
+            yield lo + d, d, 2 * half - d, w
+            yield hi - d, 2 * half - d, d, w
 
 
 def _phi(sys: XSystem, polys: list[Poly]):

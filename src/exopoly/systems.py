@@ -135,10 +135,6 @@ class XSystem:
         return Interval(lo, hi)
 
     @cached_property
-    def domain_x(self) -> Interval:
-        return Interval(Fraction(0), POS_INF if self.case.is_laguerre else math.pi / 2)
-
-    @cached_property
     def w0_exponents(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """Exponents (s, a, b, c) of e^W0 as e^(s eta) eta^a (1-eta)^b (1+eta)^c:
         W0 = c2_sign x^2/2 - (alpha + 1/2) ln x on the half line, and
@@ -495,7 +491,8 @@ def _interior(sys: XSystem, x) -> tuple[list[float], list[float], bool]:
         xs, single = list(map(float, x)), False
     except TypeError:
         xs, single = [float(x)], True
-    lo, hi = float(sys.domain_x.lo), float(sys.domain_x.hi)
+    walls = sys.walls
+    lo, hi = walls[0].x, walls[1].x if len(walls) == 2 else math.inf
     for t in xs:
         if not lo < t < hi:
             raise ValueError(f"x={t} outside the open physical domain ({lo}, {hi})")

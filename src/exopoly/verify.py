@@ -37,7 +37,7 @@ from .classical import (
     laguerre,
     zero_count_draws,
 )
-from .polycore import Interval, Poly, sturm_count
+from .polycore import Poly, sturm_count
 from .quadrature import gram
 from .spectral import compare_spectrum, default_grid
 from .systems import (
@@ -196,13 +196,12 @@ def _shifted_form() -> Iterator[Check]:
 def _degree_node() -> Iterator[Check]:
     """deg P = ell+n (exceptional) or ell+n+1 with exactly n+1 interior
     roots (extended Jacobi), exact via Sturm counting."""
-    unit = Interval(Fraction(-1), Fraction(1))
     for sys in grid_systems(_ELLS):
         ell = sys.params.ell
         for n in range(_N_MAX + 1):
             P = exceptional_poly(sys, n)
             if sys.case is Case.EXTJ:
-                ok = P.degree() == ell + n + 1 and sturm_count(P, unit) == n + 1
+                ok = P.degree() == ell + n + 1 and sturm_count(P, sys.domain_eta) == n + 1
             else:
                 ok = P.degree() == ell + n
             yield f"degree/node law fails: {sys.case.value} {sys.params} n={n}", ok, float(not ok)

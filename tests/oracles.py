@@ -5,8 +5,9 @@ calculus that substitution runs on, plain Sturm-count bisection for
 ``spectral.eigen_lowest``, polynomials exact at a float node (``exact_at``)
 and 40-digit mpmath wave functions and potentials for the float evaluators,
 and for ``quadrature.gram`` a fixed-level reference of exact node values
-(``gram_reference``) and one adaptive tanh-sinh integration per integral
-(``integrate``, ``inner_product``); no library code calls them.
+(``gram_reference``), one adaptive tanh-sinh integration per integral
+(``integrate``, ``inner_product``) and the half-line rule derived on its
+own (``half_line_points``); no library code calls them.
 
 A quasi-polynomial is
 
@@ -24,7 +25,7 @@ import mpmath
 
 from exopoly.classical import jacobi
 from exopoly.polycore import ETA, ONE, Interval, Poly, rat
-from exopoly.quadrature import _MAX_NODES, _RTOL, QuadratureConvergenceError, _phi, _ts_points
+from exopoly.quadrature import _ETA_CAP, _MAX_NODES, _RTOL, QuadratureConvergenceError, _phi, _ts_points
 from exopoly.systems import XSystem, energy, level_poly
 
 
@@ -355,3 +356,30 @@ def inner_product(sys: XSystem, n: int, m: int, rtol: float = _RTOL) -> float:
     phi = _phi(sys, [level_poly(sys, n), level_poly(sys, m)])
     return integrate(lambda *pts: np.prod(phi(*(p.tolist() for p in pts)), axis=0),
                      sys.domain_eta, rtol=rtol)
+
+
+# ---------------------------------------------------------------------------
+# the half-line tanh-sinh rule derived on its own: the node-by-node reference
+# for quadrature._ts_points on (lo, inf)
+# ---------------------------------------------------------------------------
+
+
+def half_line_points(lo: float, level: int):
+    """Yield (eta, d_lo, d_hi, weight) for each node of one tanh-sinh
+    refinement step on (lo, inf), derived on t in (0, 1) directly: at each
+    abscissa u = k h, t = d and t = 1 - d for the distance d of t from the
+    nearer end, mapped by eta = t / (1 - t) with the Jacobian 1 / (1 - t)^2,
+    the nodes beyond quadrature._ETA_CAP dropped."""
+    h = 2.0 ** (-level)
+    if level == 1:
+        yield lo + 1.0, 1.0, math.inf, 0.5 * (0.5 * math.pi) * h * 4.0  # t = 1/2
+    for k in range(1, int(4.0 / h) + 1, 1 if level == 1 else 2):
+        u = k * h
+        z = 0.5 * math.pi * math.sinh(u)
+        delta = 2.0 / (math.exp(2 * z) + 1.0)  # 1 - tanh(z), cancellation-free
+        w = 0.5 * math.pi * math.cosh(u) / math.cosh(z) ** 2 * h
+        d = 0.5 * delta
+        if d > 0.0:
+            for eta, jac in ((d / (1.0 - d), 1.0 / (1.0 - d) ** 2), ((1.0 - d) / d, 1.0 / (d * d))):
+                if 0.0 < eta < _ETA_CAP:
+                    yield lo + eta, eta, math.inf, 0.5 * w * jac

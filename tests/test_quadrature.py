@@ -19,7 +19,7 @@ from exopoly.quadrature import (
 from exopoly.systems import Case, Params, build_system
 from exopoly.verify import REPRESENTATIVE
 
-from oracles import gram_reference, inner_product, integrate, seed_flipped_coeff
+from oracles import gram_reference, half_line_points, inner_product, integrate, seed_flipped_coeff
 
 UNIT = Interval(F(0), F(1))
 SYM = Interval(F(-1), F(1))
@@ -54,6 +54,18 @@ def test_nodes_carry_endpoint_distances_below_an_ulp():
     for x, d_lo, d_hi, _ in pts:
         assert x - d_lo == -1.0 or d_lo > 0.5
         assert x + d_hi == 1.0 or d_hi > 0.5
+
+
+@pytest.mark.parametrize("lo", [0, 3])
+def test_half_line_nodes_are_the_unit_rule_mapped(lo):
+    # every node of the unit interval's rule mapped by d_lo / d_hi carries
+    # the bits of the half-line rule derived on its own; a single form of
+    # the squared far distance would change nodes at levels 9 and 12
+    for level in range(1, 13):
+        got = [tuple(map(float.hex, p)) for p in _ts_points(Interval(F(lo), POS_INF), level)]
+        want = [tuple(map(float.hex, p)) for p in half_line_points(float(lo), level)]
+        assert len(got) == len(want), level
+        assert got == want, level
 
 
 def test_finite_interval_examples():

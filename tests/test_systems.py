@@ -634,12 +634,21 @@ def test_j1_potential_finite_inside():
 
 
 def test_out_of_domain_rejected():
-    sys = build_system(Case.J1, Params(1, F(1, 2), F(-2)))
-    for x in (-0.1, 0.0, math.pi / 2, 2.0):
-        with pytest.raises(ValueError):
-            potential_eval(sys, x)
-        with pytest.raises(ValueError):
-            wavefunction_eval(sys, 0, x)
+    # the open x-domain of each kind, from its walls: rejected at and beyond them
+    for case, params, outside, inside, domain in (
+        (Case.J1, Params(1, F(1, 2), F(-2)), (-0.1, 0.0, math.pi / 2, 2.0), 0.5,
+         "(0.0, 1.5707963267948966)"),
+        (Case.L2, Params(1, F(-2)), (0.0, -0.1), 1e3, "(0.0, inf)"),
+    ):
+        sys = build_system(case, params)
+        for x in outside:
+            message = re.escape(f"x={x} outside the open physical domain {domain}")
+            with pytest.raises(ValueError, match=message):
+                potential_eval(sys, x)
+            with pytest.raises(ValueError, match=message):
+                wavefunction_eval(sys, 0, x)
+        assert math.isfinite(potential_eval(sys, inside))
+        assert math.isfinite(wavefunction_eval(sys, 0, inside))
 
 
 def test_extj_ground_state_assembly(monkeypatch):
