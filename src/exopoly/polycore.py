@@ -2,8 +2,10 @@
 
 Dense univariate polynomials over arbitrary-precision rationals, stored as
 integer numerators over one common denominator so that arithmetic runs on
-Python ints; and Sturm-chain root counting on (half-)open intervals, with
-chains built from integer pseudo-remainders.  Everything here is pure and
+Python ints; and Sturm root counting on (half-)open intervals, run on
+integer coefficient lists: one pseudo-division deflates roots on the
+endpoints and builds the signed remainder chain, one content removal per
+term, and one Horner pass reads each sign.  Everything here is pure and
 immutable; no operation ever rounds.
 """
 
@@ -188,19 +190,10 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly._of([k * c for k, c in enumerate(self._num)][1:], self._den)
 
-    def _homogeneous(self, x: Fraction) -> int:
-        """den * self(x) * q^degree as an integer, for x = p/q: the sign of self(x)."""
-        p, q = x.numerator, x.denominator
-        acc, qk = 0, 1
-        for c in reversed(self._num):
-            acc = acc * p + c * qk
-            qk *= q
-        return acc
-
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact evaluation at a rational point (Horner)."""
         x = rat(x)
-        return Fraction(self._homogeneous(x), self._den * x.denominator ** max(self.degree(), 0))
+        return Fraction(_horner(self._num, x), self._den * x.denominator ** max(self.degree(), 0))
 
     def float_coeffs(self) -> list[float]:
         return [c / self._den for c in self._num]
@@ -211,18 +204,22 @@ class Poly:
         """p(eta) -> p(-eta)."""
         return Poly._of([-c if k % 2 else c for k, c in enumerate(self._num)], self._den)
 
-    def primitive(self) -> "Poly":
-        """Scale by a positive rational to integer coefficients with gcd 1.
 
-        Positive scaling only, so sign data (used by Sturm chains) survives.
-        """
-        g = math.gcd(*self._num)
-        return Poly._of([c // g for c in self._num]) if g else self
+def _horner(num: Sequence[int], x: Fraction) -> int:
+    """q^d * sum(num[k] x^k) as an integer, for x = p/q and d = len(num) - 1:
+    the value at x times a positive integer, so its sign is the value's."""
+    p, q = x.numerator, x.denominator
+    acc, qk = 0, 1
+    for c in reversed(num):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
     """Integer pseudo-division: (q, r, m) with m*a == q*b + r, deg r < deg b
-    and m a positive integer, so r is a positive multiple of a % b."""
+    and m a positive integer, so q and r are positive multiples of a // b and
+    a % b; r comes trimmed, empty when b divides a."""
     db, lc = len(b) - 1, b[-1]
     step, sign = abs(lc), (1 if lc > 0 else -1)
     r, q, m = list(a), [0] * max(0, len(a) - db), 1
@@ -234,6 +231,8 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
             r, q, m = [step * v for v in r], [step * v for v in q], m * step
         q[k] = f = sign * c
         r[k:] = [v - f * w for v, w in zip(r[k:], b)]
+    while r and not r[-1]:
+        r.pop()
     return q, r, m
 
 
@@ -267,39 +266,15 @@ class Interval:
         return f"{lb}{lo}, {hi}{rb}"
 
 
-def _prem(a: Poly, b: Poly) -> Poly:
-    """Primitive part of a positive multiple of a % b, on integers only."""
-    return Poly._of(_pseudo_divmod(a._num, b._num)[1]).primitive()
-
-
-def _sturm_chain(p: Poly) -> list[Poly]:
-    """Signed remainder sequence of (p, p') for deg p >= 1, each term primitive."""
-    chain = [p.primitive(), p.derivative().primitive()]
-    while r := _prem(chain[-2], chain[-1]):
-        chain.append(-r)
-    return chain
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_variations(signs: Sequence[int]) -> int:
-    cleaned = [s for s in signs if s != 0]
-    return sum(
-        1 for prev, nxt in zip(cleaned, cleaned[1:]) if prev != nxt
-    )
-
-
-def _chain_signs_at(chain: Sequence[Poly], point) -> list[int]:
-    if point == POS_INF:
-        return [_sign(q.leading()) for q in chain]
-    if point == NEG_INF:
-        return [
-            _sign(q.leading()) * (1 if q.degree() % 2 == 0 else -1)
-            for q in chain
-        ]
-    return [_sign(q._homogeneous(point)) for q in chain]
+def _variations(chain: Sequence[Sequence[int]], point) -> int:
+    """Sign variations of an integer chain at a rational point, or at +/-inf
+    from each term's leading coefficient and the parity of its degree."""
+    if _is_inf(point):  # the sign at -inf is the leading one times (-1)^degree
+        values = [t[-1] if point > 0 or len(t) % 2 else -t[-1] for t in chain]
+    else:
+        values = [_horner(t, point) for t in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def sturm_count(p: Poly, iv: Interval) -> int:
@@ -307,35 +282,34 @@ def sturm_count(p: Poly, iv: Interval) -> int:
 
     Roots landing exactly on a finite endpoint are counted only when that
     endpoint is flagged closed.  Half-infinite intervals use leading-term
-    sign analysis.
+    sign analysis.  The count runs on integer coefficient lists: p times its
+    positive denominator, with no Poly or Fraction built on the way.
     """
     if p.is_zero:
         raise IndeterminateRootCountError("indeterminate root count")
     for bound in (iv.lo, iv.hi):
         if not (isinstance(bound, Fraction) or _is_inf(bound)):
             raise TypeError("sturm_count needs Fraction or infinite bounds")
-    if p.degree() == 0:
-        return 0
 
-    endpoint_roots = 0
-    work = p
+    endpoint_roots, work = 0, p._num
     for bound, closed in ((iv.lo, iv.lo_closed), (iv.hi, iv.hi_closed)):
-        if _is_inf(bound):
+        if _is_inf(bound) or _horner(work, bound):
             continue
-        if not work._homogeneous(bound):
-            if closed:
-                endpoint_roots += 1
-            linear = Poly([-bound, 1])
-            while not work._homogeneous(bound):
-                work = work // linear
-    if work.degree() <= 0:
+        endpoint_roots += closed
+        while not _horner(work, bound):  # the quotient: a positive multiple of work / (eta - bound)
+            work = _pseudo_divmod(work, [-bound.numerator, bound.denominator])[0]
+    if len(work) <= 1:
         return endpoint_roots
 
-    # no square-free step: the signed remainder sequence of (work, work')
-    # ends in their gcd, and sign variations at two non-roots of work still
-    # differ by its number of distinct roots between them (Basu, Pollack &
-    # Roy, Algorithms in Real Algebraic Geometry, Thm 2.50)
-    chain = _sturm_chain(work)
-    v_lo = _sign_variations(_chain_signs_at(chain, iv.lo))
-    v_hi = _sign_variations(_chain_signs_at(chain, iv.hi))
-    return (v_lo - v_hi) + endpoint_roots
+    # the signed remainder sequence of (work, work'), each term over its
+    # content.  No square-free step: the sequence ends in gcd(work, work'), and
+    # sign variations at two non-roots of work still differ by its number of
+    # distinct roots between them (Basu, Pollack & Roy, Algorithms in Real
+    # Algebraic Geometry, Thm 2.50)
+    chain, term = [], work
+    while term:
+        g = math.gcd(*term)
+        chain.append([c // g for c in term])
+        term = ([k * c for k, c in enumerate(term)][1:] if len(chain) == 1
+                else [-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]])
+    return _variations(chain, iv.lo) - _variations(chain, iv.hi) + endpoint_roots

@@ -45,7 +45,9 @@ from .systems import (
     Params,
     XSystem,
     build_system,
+    energy,
     exceptional_poly,
+    level_poly,
     ode_residual,
     proportionality,
     shifted_form_poly,
@@ -194,16 +196,17 @@ def _shifted_form() -> Iterator[Check]:
 
 
 def _degree_node() -> Iterator[Check]:
-    """deg P = ell+n (exceptional) or ell+n+1 with exactly n+1 interior
-    roots (extended Jacobi), exact via Sturm counting."""
+    """The degree and node laws by spectral level, for every case, exact via
+    Sturm counting: the level-k polynomial has degree ell+k and exactly k
+    zeros in the open eta-domain, and the energies strictly increase with k.
+    Member n sits at level n, or n+1 for extj, whose level 0 is the constant."""
     for sys in grid_systems(_ELLS):
         ell = sys.params.ell
         for n in range(_N_MAX + 1):
-            P = exceptional_poly(sys, n)
-            if sys.case is Case.EXTJ:
-                ok = P.degree() == ell + n + 1 and sturm_count(P, sys.domain_eta) == n + 1
-            else:
-                ok = P.degree() == ell + n
+            k = n + (sys.case is Case.EXTJ)
+            P = level_poly(sys, k)
+            ok = (P.degree() == ell + k and sturm_count(P, sys.domain_eta) == k
+                  and (k == 0 or energy(sys, k - 1) < energy(sys, k)))
             yield f"degree/node law fails: {sys.case.value} {sys.params} n={n}", ok, float(not ok)
 
 

@@ -1,7 +1,9 @@
 """Exact polynomial core: arithmetic and Sturm counting; and the
 quasi-polynomial calculus that the test oracles run on."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
@@ -18,7 +20,7 @@ from exopoly.polycore import (
     rat_str,
     sturm_count,
 )
-from exopoly.systems import _horner_nodes
+from exopoly.systems import Case, Params, _horner_nodes, build_system, exceptional_poly
 
 from oracles import IncompatiblePrefactorError, QuasiPoly, quasi_extract
 
@@ -146,7 +148,6 @@ def test_canonical_form_examples():
     zero = Poly([0, 0, 0])
     assert zero == Poly() and hash(zero) == hash(Poly()) and zero.degree() == -1
     assert (p - p).degree() == -1 and (p * 0).is_zero and p.coeffs and not (p - p).coeffs
-    assert Poly([F(-2, 3), F(-4, 5)]).primitive() == Poly([-5, -6])  # sign kept
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +283,22 @@ def _linear_power(root, k):
 ])
 def test_sturm_count_of_repeated_roots_matches_sympy(p, iv, want):
     assert sturm_count(p, iv) == _sympy_count(p, iv) == want
+
+
+CATALOGUE = Path(__file__).parents[1] / "perfbench" / "catalogue.json"
+
+
+@pytest.mark.parametrize("n", [0, 8, 16])
+@pytest.mark.parametrize("case", list(Case), ids=lambda case: case.value)
+def test_sturm_count_at_exact_deep_size_matches_sympy(case, n):
+    # the first ell = 4 point of the case among the benchmark's exact-deep
+    # points: degree up to 21, coefficients of ~170 bits
+    deep = json.loads(CATALOGUE.read_text())["deep"]
+    e = next(e for e in deep if e["case"] == case.value and e["ell"] == 4)
+    sys = build_system(case, Params(4, F(e["alpha"]), e["beta"] and F(e["beta"])))
+    P, dom = exceptional_poly(sys, n), sys.domain_eta
+    for iv in (dom, Interval(dom.lo, dom.hi, True, dom.hi != POS_INF), REALS):
+        assert sturm_count(P, iv) == _sympy_count(P, iv), (sys.label, n, str(iv))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exopoly.classical import count_zeros_exact, jacobi, laguerre, predict_zero_count
-from exopoly.polycore import Interval, ONE, POS_INF, Poly, sturm_count
+from exopoly.polycore import Interval, NEG_INF, ONE, POS_INF, Poly, sturm_count
 from exopoly.systems import (
     Case,
     NodelessnessError,
@@ -245,18 +245,18 @@ ENERGY_LITERALS = {
 }
 
 
-def _off_grid_systems(per_case_and_ell=2, seed=11):
-    """Seeded admissible points for every case and ell 0-4: alpha and beta
-    p/q with p in [-60, 60] (extj: [-60, -1], where it is admissible) and q
-    in 1..6."""
+def _off_grid_systems(per_case_and_ell=2, seed=11, ells=range(5), bound=60):
+    """Seeded admissible points for every case and each of ``ells``: alpha
+    and beta p/q with p in [-bound, bound] (extj: [-bound, -1], where it is
+    admissible) and q in 1..6."""
     rng = random.Random(seed)
     out = []
     for case in Case:
-        top = -1 if case is Case.EXTJ else 60
-        for ell in range(5):
+        top = -1 if case is Case.EXTJ else bound
+        for ell in ells:
             found = 0
             while found < per_case_and_ell:
-                a, b = (F(rng.randint(-60, top), rng.randint(1, 6)) for _ in range(2))
+                a, b = (F(rng.randint(-bound, top), rng.randint(1, 6)) for _ in range(2))
                 try:
                     out.append(build_system(case, Params(ell, a, None if case.is_laguerre else b)))
                 except (ParameterError, NodelessnessError):
@@ -439,6 +439,24 @@ def test_extj_node_law():
             sys = build_system(Case.EXTJ, Params(ell, a, b))
             for n in range(5):
                 assert sturm_count(exceptional_poly(sys, n), unit) == n + 1
+
+
+def test_exact_laws_hold_across_the_admissible_region():
+    # members n = 0-8: a zero residual; the degree law away from a
+    # degree-degenerate xi; the node law by level (k zeros inside the domain
+    # at level k, energies strictly increasing); and l1's ell further zeros
+    # on (-inf, 0)
+    left = Interval(NEG_INF, F(0))
+    for sys in _off_grid_systems(12, 34, ells=range(7), bound=80):
+        ell, degenerate = sys.params.ell, sys.xi.degree() < sys.params.ell
+        for n in range(9):
+            P, k, at = exceptional_poly(sys, n), n + (sys.case is Case.EXTJ), (sys.label, n)
+            assert ode_residual(sys, n).is_zero, at
+            assert degenerate or P.degree() == ell + k, at
+            assert level_poly(sys, k) is P and sturm_count(P, sys.domain_eta) == k, at
+            assert k == 0 or energy(sys, k - 1) < energy(sys, k), at
+            if sys.case is Case.L1:
+                assert sturm_count(P, left) == ell, at
 
 
 def test_j2_is_mirror_of_j1():

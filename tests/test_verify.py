@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from exopoly import spectral, verify
+from exopoly import spectral, systems, verify
 from exopoly.classical import _jacobi_cached, _laguerre_cached, laguerre
 from exopoly.polycore import ETA
 from exopoly.quadrature import QuadratureConvergenceError
@@ -241,14 +241,66 @@ def _one_energy_off(monkeypatch):
     monkeypatch.setattr(spectral, "energy", energy)
 
 
-# suite: (the seeded defect, the failures it causes, a text in each failing label)
+def _family_index_plus_one(case):
+    """Every level of one case given the next family member: extj's level k
+    gets member k, where it has member k - 1."""
+    def seed(monkeypatch):
+        real = systems.family_index
+
+        def family_index(sys, level):
+            n = real(sys, level)
+            return n if sys.case is not case else 0 if n is None else n + 1
+
+        monkeypatch.setattr(systems, "family_index", family_index)
+    return seed
+
+
+def _swap_two_levels(monkeypatch):
+    real = verify.level_poly
+
+    def level_poly(sys, level):  # j1's levels 2 and 3 trade polynomials
+        return real(sys, 5 - level if sys.case is Case.J1 and level in (2, 3) else level)
+
+    monkeypatch.setattr(verify, "level_poly", level_poly)
+
+
+def _mirror_l1_levels(monkeypatch):
+    # l1's level polynomials at -eta keep their degrees, but their k zeros on
+    # (0, inf) trade places with the ell on (-inf, 0): only the node count sees it
+    real = verify.level_poly
+
+    def level_poly(sys, level):
+        P = real(sys, level)
+        return P.compose_neg() if sys.case is Case.L1 else P
+
+    monkeypatch.setattr(verify, "level_poly", level_poly)
+
+
+def _flat_energy(monkeypatch):
+    real = verify.energy
+
+    def energy(sys, level):  # j2's level 3 at level 2's energy
+        return real(sys, 2 if sys.case is Case.J2 and level == 3 else level)
+
+    monkeypatch.setattr(verify, "energy", energy)
+
+
+# defect: (its suite, the seeded defect, the failures it causes, a text in each failing label).
+# degree-node checks 9 systems of each case at 6 levels: an index off by one fails all 54 of
+# its case, the swap two levels of each j1 system, the mirror every l1 level but k = ell, and
+# the flat energy level 3 of each j2 system
 SEEDED = {
-    "identities": (_flip_a_sign_in_an_identity, 20, "L-2 fails"),  # one L-2 check per draw
-    "xi-equation": (_xi_tilde_E_plus_one, 60, "xi-equation fails"),  # every system
-    "shifted-form": (_shift_the_l2_xi_wrongly, 54, " l2 "),  # 9 l2 systems x 6 members
-    "zero-count": (_jacobi_prediction_plus_one, 108, "jacobi n="),  # every jacobi draw
-    "orthogonality": (_weight_exponent_off, 5, "max off-diagonal"),  # every point
-    "spectrum": (_one_energy_off, 1, "j1: max eigenvalue error 1.9"),
+    "identities": ("identities", _flip_a_sign_in_an_identity, 20, "L-2 fails"),  # one L-2 check per draw
+    "xi-equation": ("xi-equation", _xi_tilde_E_plus_one, 60, "xi-equation fails"),  # every system
+    "shifted-form": ("shifted-form", _shift_the_l2_xi_wrongly, 54, " l2 "),  # 9 l2 systems x 6 members
+    "degree-node-extj-index": ("degree-node", _family_index_plus_one(Case.EXTJ), 54, " extj "),
+    "degree-node-l1-index": ("degree-node", _family_index_plus_one(Case.L1), 54, " l1 "),
+    "degree-node-levels-swapped": ("degree-node", _swap_two_levels, 18, " j1 "),
+    "degree-node-l1-mirrored": ("degree-node", _mirror_l1_levels, 45, " l1 "),
+    "degree-node-energy-flat": ("degree-node", _flat_energy, 9, " j2 "),
+    "zero-count": ("zero-count", _jacobi_prediction_plus_one, 108, "jacobi n="),  # every jacobi draw
+    "orthogonality": ("orthogonality", _weight_exponent_off, 5, "max off-diagonal"),  # every point
+    "spectrum": ("spectrum", _one_energy_off, 1, "j1: max eigenvalue error 1.9"),
 }
 
 
@@ -261,9 +313,9 @@ def fresh_grid():
     verify._grid_at.cache_clear()
 
 
-@pytest.mark.parametrize("suite", list(SEEDED))
-def test_a_seeded_defect_fails_its_suite(fresh_grid, monkeypatch, suite):
-    seed, failures, label = SEEDED[suite]
+@pytest.mark.parametrize("defect", list(SEEDED))
+def test_a_seeded_defect_fails_its_suite(fresh_grid, monkeypatch, defect):
+    suite, seed, failures, label = SEEDED[defect]
     assert run_suite(suite).passed
     seed(monkeypatch)
     out = run_suite(suite)
