@@ -161,10 +161,10 @@ def gram(sys: XSystem, N: int) -> GramReport:
             except OverflowError:
                 raise beyond_floats() from None
             vw = [list(map(mul, row, weights)) for row in v]
-            av, avw = [list(map(abs, row)) for row in v], [list(map(abs, row)) for row in vw]
             for k, (i, j) in enumerate(pairs):
-                sums[k] += sum(map(mul, vw[i], v[j]))
-                abs_sums[k] += sum(map(mul, avw[i], av[j]))
+                prod = list(map(mul, vw[i], v[j]))  # |a b| = |a| |b| exactly
+                sums[k] += sum(prod)
+                abs_sums[k] += sum(map(abs, prod))
             n_nodes += len(block)
         total = [0.5 * t + x for t, x in zip(total, sums)]
         total_abs = [0.5 * t + x for t, x in zip(total_abs, abs_sums)]

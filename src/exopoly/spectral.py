@@ -4,9 +4,10 @@ The Hamiltonian -d^2/dx^2 + V(x) is discretized by second-order central
 differences with Dirichlet walls on a truncated domain, and its lowest
 eigenvalues are extracted by plain bisection on the LDL^T inertia count of
 the shifted tridiagonal matrix.  The count never falls as the shift rises,
-so only a count no sample decides costs a pass, and the first one next to a
-level the samples isolate places safeguarded Newton steps on det(T - sigma)
-there: the answer is unchanged, in about a third of the passes.
+so each bisection step reads the counts already taken on either side of its
+shift and makes a pass only when they leave it undecided; a level's first
+such step in a gap isolating it runs `_place`, safeguarded Newton steps on
+det(T - sigma): the answer is unchanged, in about a third of the passes.
 `compare_spectrum` extrapolates from two grids on one box (999 and 499
 interior points by default), cancelling the h^2 error term; what remains is
 the box truncation, ~1e-5 on j1/j2.  Nothing here reuses the symbolic
@@ -129,73 +130,43 @@ def _count_below(diag: Sequence[float], off2: Sequence[float], sigma: float,
     return count + (q <= 0.0), s + dq / (q or -tiny)
 
 
-class _Samples:
-    """The Sturm counts taken on one matrix, by shift.  In IEEE arithmetic
-    the count never falls as the shift rises (Demmel, Dhillon & Ren, ETNA 3,
-    1995), so the samples decide every count outside their gaps.  The
-    Gershgorin bounds enter with counts 0 and n; bisection never reads them."""
-
-    def __init__(self, diag: list[float], off2: list[float], lo0: float, hi0: float):
-        self.diag, self.off2, self.lo0, self.hi0 = diag, off2, lo0, hi0
-        self.xs = [lo0, hi0]  # the shifts, ascending
-        self.cs = [0, len(diag)]  # their counts, so non-decreasing
-        self.placed = 0  # the highest level with Newton samples
-
-    def count(self, sigma: float, slope: bool = False):
-        got = _count_below(self.diag, self.off2, sigma, slope)
-        i = bisect_left(self.xs, sigma)
-        self.xs.insert(i, sigma)
-        self.cs.insert(i, got[0] if slope else got)
-        return got
-
-    def at_least(self, sigma: float, j: int) -> bool:
-        """count(sigma) >= j, by a pass only when no sample decides it; the
-        first such pass in a gap isolating the j-th level follows place(j)."""
-        xs, cs = self.xs, self.cs
-        i = bisect_left(xs, sigma)
-        if cs[i] < j or xs[i] == sigma:
-            return cs[i] >= j
-        if self.placed < j and cs[i - 1] == j - 1 and cs[i] == j:
-            self.placed = j
-            self.place(j)
-            return self.at_least(sigma, j)
-        return cs[i - 1] >= j or self.count(sigma) >= j
-
-    def place(self, j: int) -> None:
-        """Samples just below and just above the j-th lowest level, which the
-        samples isolate: take Newton steps that stay in its bracket, and
-        certify the root by counts at +-eps max(|lo0|, |hi0|), widened by 4
-        until they straddle it."""
-        xs, cs = self.xs, self.cs
-        x = math.nan  # the first step starts from the middle of the bracket
-        for _ in range(200):
-            i = bisect_left(cs, j)
-            lo, hi = xs[i - 1], xs[i]
-            if not lo < x < hi:  # also catches a NaN step
-                x = 0.5 * (lo + hi)
-            s = self.count(x, slope=True)[1]
-            step = -1.0 / s if s else math.inf
-            done = abs(step) <= 1e-9 * max(1.0, abs(x))
-            x += step
-            if done:
-                break
-        else:
-            return
-        eps_norm, span = 2.0**-52 * max(abs(self.lo0), abs(self.hi0)), self.hi0 - self.lo0
-        w = eps_norm  # the backward error of a count
-        while self.count(x - w) >= j and w < span:
-            w *= 4.0
-        w = eps_norm
-        while self.count(x + w) < j and w < span:
-            w *= 4.0
+def _place(count, xs: list[float], cs: list[int], j: int, lo0: float, hi0: float) -> None:
+    """Samples just below and just above the j-th lowest level, which the
+    samples (shifts xs, ascending, with their counts cs) isolate: take Newton
+    steps that stay in its bracket, and certify the root by counts at
+    +-eps max(|lo0|, |hi0|), widened by 4 until they straddle it."""
+    x = math.nan  # the first step starts from the middle of the bracket
+    for _ in range(200):
+        i = bisect_left(cs, j)
+        lo, hi = xs[i - 1], xs[i]
+        if not lo < x < hi:  # also catches a NaN step
+            x = 0.5 * (lo + hi)
+        s = count(x, slope=True)[1]
+        step = -1.0 / s if s else math.inf
+        done = abs(step) <= 1e-9 * max(1.0, abs(x))
+        x += step
+        if done:
+            break
+    else:
+        return
+    eps_norm, span = 2.0**-52 * max(abs(lo0), abs(hi0)), hi0 - lo0
+    w = eps_norm  # the backward error of a count
+    while count(x - w) >= j and w < span:
+        w *= 4.0
+    w = eps_norm
+    while count(x + w) < j and w < span:
+        w *= 4.0
 
 
 def eigen_lowest(op: Tridiag, k: int) -> list[float]:
     """The k smallest eigenvalues, ascending, by Sturm-count bisection.
 
-    Each level is bisected from the Gershgorin bounds, reading its counts
-    through the samples of one `_Samples`: a pass only for a count they
-    leave undecided, with Newton samples placed at a level's first one."""
+    Each level is bisected from the Gershgorin bounds.  Every count taken is
+    kept as a sample, and in IEEE arithmetic the count never falls as the
+    shift rises (Demmel, Dhillon & Ren, ETNA 3, 1995), so a step costs a
+    pass only when the samples on either side of its shift leave the count
+    undecided.  The level's first such step, in a gap that isolates it,
+    runs `_place` once and reads the samples again."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 10:
@@ -210,16 +181,33 @@ def eigen_lowest(op: Tridiag, k: int) -> list[float]:
     radius = [left + right for left, right in zip(pad, pad[1:])]
     lo0 = min(d - r for d, r in zip(diag, radius))
     hi0 = max(d + r for d, r in zip(diag, radius))
-    samples = _Samples(diag, off2, lo0, hi0)
+    # the samples: shifts ascending, counts non-decreasing; the Gershgorin
+    # bounds enter with counts 0 and n, and no pass is made at them
+    xs, cs = [lo0, hi0], [0, n]
+
+    def count(sigma: float, slope: bool = False):
+        got = _count_below(diag, off2, sigma, slope)
+        i = bisect_left(xs, sigma)
+        xs.insert(i, sigma)
+        cs.insert(i, got[0] if slope else got)
+        return got
+
     out = []
     for j in range(1, k + 1):
-        lo, hi = lo0, hi0
+        lo, hi, placed = lo0, hi0, False
         # invariant: count(lo) < j <= count(hi)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if samples.at_least(mid, j):
+            i = bisect_left(xs, mid)  # xs[i - 1] < mid <= xs[i]
+            if not placed and xs[i] != mid and cs[i - 1] == j - 1 and cs[i] == j:
+                placed = True
+                _place(count, xs, cs, j, lo0, hi0)
+                i = bisect_left(xs, mid)
+            decided = xs[i] == mid or not cs[i - 1] < j <= cs[i]  # by a sample
+            above = cs[i] >= j if decided else count(mid) >= j
+            if above:
                 hi = mid
             else:
                 lo = mid

@@ -121,6 +121,28 @@ def test_passes_on_representative_grids(monkeypatch):
     assert len(passes) <= 966
 
 
+@pytest.mark.parametrize("slope", [0.0, math.nan])
+def test_newton_without_a_usable_slope_falls_back_to_bisection(monkeypatch, slope):
+    # with a zero or NaN slope every Newton step leaves its bracket, so the
+    # placement runs its 200 midpoint samples and gives up without certifying
+    # a root; the samples it leaves still give plain bisection's answer
+    slope_passes = []
+
+    def flat(diag, off2, sigma, want_slope=False):
+        got = _count_below(diag, off2, sigma, want_slope)
+        if not want_slope:
+            return got
+        slope_passes.append(sigma)
+        return got[0], slope
+
+    monkeypatch.setattr(spectral, "_count_below", flat)
+    for case, params in REPRESENTATIVE.items():
+        op = _grids(case, params)[2][0]
+        del slope_passes[:]
+        assert eigen_lowest(op, 5) == bisection_lowest(op, 5)
+        assert slope_passes and len(slope_passes) % 200 == 0
+
+
 def _random_tridiags(count):
     rng = np.random.default_rng(4711)
     for _ in range(count):
