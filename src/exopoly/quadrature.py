@@ -10,10 +10,10 @@ itself rounds to the endpoint long before its distance leaves the float
 range.  A half line is the unit interval's rule, each node t of (0, 1)
 mapped by eta = t / (1 - t) = d_lo / d_hi, its distances from 0 and 1; this
 presumes integrands with at least exponential decay (true of every weight
-here).  One rule, refined level by level, serves each Gram matrix:
-every entry must pass the adaptive criterion under the same node cap, a
-failure names the pair of levels, and an entry beyond the float range names
-the level.  Everything runs over plain Python floats, with exp and log from
+here).  One rule, refined level by level, serves each Gram matrix: every
+normalized entry must settle under the same node cap (the tolerance is on
+the normalized entry), a failure names the pair of levels, and a norm
+beyond the float range names the level.  Everything runs over plain Python floats, with exp and log from
 libm.
 """
 
@@ -135,24 +135,25 @@ def gram(sys: XSystem, N: int) -> GramReport:
     extended Jacobi case level 0 is the constant ground function.  Each
     tanh-sinh level evaluates Phi once per new node, _BLOCK nodes at a time,
     and adds sum(Phi_n w Phi_m) to every entry n <= m, until every entry
-    changes by at most _RTOL * max(|I|, integral of |f|), so tiny integrals
+    changes by at most _RTOL * sqrt(I_nn I_mm) on the level's own diagonal:
+    the tolerance is on the normalized entry g_nm, so tiny integrals
     (orthogonality defects) converge too.  At the node cap the error names
-    the first unconverged pair; an entry beyond the float range raises
-    OverflowError.
+    the first unconverged pair; a norm beyond the float range raises
+    OverflowError (a finite diagonal bounds every entry).
     """
     if N < 2:
         raise ValueError(f"{sys.label}: need at least two levels")
     phi = _phi(sys, [level_poly(sys, n) for n in range(N)])
     pairs = [(i, j) for i in range(N) for j in range(i, N)]
     prev, n_nodes, level = None, 0, 1
-    total = total_abs = [0.0] * len(pairs)
+    total = [0.0] * len(pairs)
 
     def beyond_floats():
         return OverflowError(f"{sys.label}: Gram entries beyond the float range "
                              f"at tanh-sinh level {level}")
 
     while True:
-        sums, abs_sums = [0.0] * len(pairs), [0.0] * len(pairs)
+        sums = [0.0] * len(pairs)
         points = _ts_points(sys.domain_eta, level)
         while block := list(islice(points, _BLOCK)):
             eta, d_lo, d_hi, weights = zip(*block)
@@ -162,17 +163,16 @@ def gram(sys: XSystem, N: int) -> GramReport:
                 raise beyond_floats() from None
             vw = [list(map(mul, row, weights)) for row in v]
             for k, (i, j) in enumerate(pairs):
-                prod = list(map(mul, vw[i], v[j]))  # |a b| = |a| |b| exactly
-                sums[k] += sum(prod)
-                abs_sums[k] += sum(map(abs, prod))
+                sums[k] += sum(map(mul, vw[i], v[j]))
             n_nodes += len(block)
         total = [0.5 * t + x for t, x in zip(total, sums)]
-        total_abs = [0.5 * t + x for t, x in zip(total_abs, abs_sums)]
-        if not all(map(math.isfinite, total_abs)):  # and so at every later level
+        raw = dict(zip(pairs, total))
+        norms = [math.sqrt(raw[i, i]) for i in range(N)]
+        if not all(map(math.isfinite, norms)):  # and so at every later level
             raise beyond_floats()
-        if prev is not None:
-            bad = next((k for k, (t, p, ta) in enumerate(zip(total, prev, total_abs))
-                        if not abs(t - p) <= _RTOL * max(abs(t), ta)), None)
+        if prev is not None:  # |I_ij| <= norms[i] * norms[j], by Cauchy-Schwarz
+            bad = next((k for k, ((i, j), t, p) in enumerate(zip(pairs, total, prev))
+                        if not abs(t - p) <= _RTOL * norms[i] * norms[j]), None)
             if bad is None:
                 break
             if n_nodes >= _MAX_NODES:
@@ -182,12 +182,9 @@ def gram(sys: XSystem, N: int) -> GramReport:
                 )
         prev = total
         level += 1
-    raw = dict(zip(pairs, total))
-    diag = [raw[i, i] for i in range(N)]
-    for i, d in enumerate(diag):
-        if not d > 0:
+    for i, norm in enumerate(norms):
+        if not norm > 0:
             raise RuntimeError(f"{sys.label}: non-positive norm at level {i}")
-    norms = [math.sqrt(d) for d in diag]
     g = [[1.0 if i == j else raw[min(i, j), max(i, j)] / (norms[i] * norms[j])
           for j in range(N)] for i in range(N)]
     return GramReport(size=N, matrix=tuple(map(tuple, g)))

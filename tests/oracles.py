@@ -314,7 +314,9 @@ def seed_flipped_coeff(monkeypatch, poly: Poly) -> None:
 
 # ---------------------------------------------------------------------------
 # one adaptive tanh-sinh integration per integral, on the library's rule
-# (_ts_points, _phi) and criterion: the per-pair reference for quadrature.gram
+# (_ts_points, _phi): the per-pair reference for quadrature.gram.  One
+# integral has no diagonal to scale it, so this one stops on the integral of
+# |f|, where gram puts the tolerance on the normalized entry
 # ---------------------------------------------------------------------------
 
 

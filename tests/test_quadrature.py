@@ -141,15 +141,23 @@ def test_gram_reports():
 
 
 def test_gram_nonconvergence_names_case_parameters_pair_and_nodes():
-    # at N=16 the Horner noise of the Laguerre family members stalls entry
-    # (4, 14) above the relative tolerance (ROADMAP item 1)
+    # at N=16 the Horner noise of the Laguerre family members stalls normalized
+    # entry (6, 15), the first in pair order, above the tolerance (ROADMAP item 1)
     sys = build_system(Case.L2, Params(1, F(-2)))
     with pytest.raises(QuadratureConvergenceError) as err:
         gram(sys, 16)
     msg = str(err.value)
-    assert "case l2 (ell=1, alpha=-2, beta=None), pair (4, 14):" in msg
+    assert "case l2 (ell=1, alpha=-2, beta=None), pair (6, 15):" in msg
     assert f"after {err.value.nodes} nodes" in msg
     assert err.value.nodes >= 2 ** 14
+
+
+def test_gram_tolerance_is_on_the_normalized_entry():
+    # every entry is held to 1e-12 of sqrt(I_nn I_mm), the scale of the
+    # normalized entry: at N=16 this extended Jacobi point settles at
+    # tanh-sinh level 10, its largest off-diagonal at 2.7e-11
+    sys = build_system(Case.EXTJ, Params(1, F(-3), F(-5, 6)))
+    assert gram(sys, 16).max_offdiag < 1e-10
 
 
 def test_gram_beyond_the_float_range_names_the_case():

@@ -220,15 +220,17 @@ def _jacobi_prediction_plus_one(monkeypatch):
     monkeypatch.setattr(verify, "zero_count_draws", draws)
 
 
-def _weight_exponent_off(monkeypatch):
-    real = XSystem.weight.func
+def _weight_exponent_off(offset):
+    def seed(monkeypatch):
+        real = XSystem.weight.func
 
-    def weight(sys):  # the exponent of the factor that vanishes at x = 0
-        w = real(sys)
-        name = "a" if sys.case.is_laguerre else "b"
-        return replace(w, **{name: getattr(w, name) + Fraction(1, 10**6)})
+        def weight(sys):  # the exponent of the factor that vanishes at x = 0
+            w = real(sys)
+            name = "a" if sys.case.is_laguerre else "b"
+            return replace(w, **{name: getattr(w, name) + offset})
 
-    monkeypatch.setattr(XSystem, "weight", property(weight))
+        monkeypatch.setattr(XSystem, "weight", property(weight))
+    return seed
 
 
 def _one_energy_off(monkeypatch):
@@ -299,7 +301,9 @@ SEEDED = {
     "degree-node-l1-mirrored": ("degree-node", _mirror_l1_levels, 45, " l1 "),
     "degree-node-energy-flat": ("degree-node", _flat_energy, 9, " j2 "),
     "zero-count": ("zero-count", _jacobi_prediction_plus_one, 108, "jacobi n="),  # every jacobi draw
-    "orthogonality": ("orthogonality", _weight_exponent_off, 5, "max off-diagonal"),  # every point
+    # every point; its resolving power: off by 1e-9, the points read 8.3e-10 to 9.3e-10
+    "orthogonality": ("orthogonality", _weight_exponent_off(Fraction(1, 10**6)), 5, "max off-diagonal"),
+    "orthogonality-1e-9": ("orthogonality", _weight_exponent_off(Fraction(1, 10**9)), 5, "max off-diagonal"),
     "spectrum": ("spectrum", _one_energy_off, 1, "j1: max eigenvalue error 1.9"),
 }
 
