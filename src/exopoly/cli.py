@@ -26,7 +26,6 @@ process runs only the layers it calls; bodies call them as `quadrature.gram`.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import sys as _sys
 from fractions import Fraction
@@ -132,6 +131,7 @@ class _LazyGroup(click.Group):
             return super().resolve_command(ctx, args)
         except getattr(click.exceptions, "NoSuchCommand", ()) as exc:
             # click (>= 8.2) offers close names among the commands defined so far
+            import difflib  # loaded on this path only, not at every start
             exc.possibilities = difflib.get_close_matches(exc.command_name, _DEFINITIONS)
             raise
 

@@ -6,7 +6,8 @@ Python ints; and Sturm root counting on (half-)open intervals, run on
 integer coefficient lists: one pseudo-division deflates roots on the
 endpoints and builds the signed remainder chain, one content removal per
 term, and one Horner pass reads each sign.  Everything here is pure and
-immutable; no operation ever rounds.
+immutable, and no operation rounds except the one way out to floats,
+``Poly.float_values``.
 """
 
 from __future__ import annotations
@@ -195,8 +196,14 @@ class Poly:
         x = rat(x)
         return Fraction(_horner(self._num, x), self._den * x.denominator ** max(self.degree(), 0))
 
-    def float_coeffs(self) -> list[float]:
-        return [c / self._den for c in self._num]
+    def float_values(self, etas: Sequence[float]) -> list[float]:
+        """The value at each node in floats: every coefficient rounded once,
+        then Horner acc * eta + c, one coefficient at a time over the list."""
+        acc = [0.0] * len(etas)
+        for c in reversed(self._num):
+            c = c / self._den
+            acc = [a * e + c for a, e in zip(acc, etas)]
+        return acc
 
     # -- transforms -------------------------------------------------------
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
+from typing import Sequence
 
 from .polycore import Interval, Poly
-from .systems import XSystem, _horner_nodes, level_poly
+from .systems import XSystem, level_poly
 
 _MAX_NODES = 2 ** 14  # refinement stops at the first level that reaches this many nodes
 _RTOL = 1e-12  # relative tolerance of each Gram entry
@@ -92,28 +93,23 @@ def _ts_points(domain: Interval, level: int):
             yield hi - d, 2 * half - d, d, w
 
 
-def _phi(sys: XSystem, polys: list[Poly]):
-    """Phi[n](eta) = sqrt(w) p_n / xi, one list per polynomial, for lists of
-    nodes and their endpoint distances; sign times exp of a log-space
-    magnitude, so the weight factor neither overflows nor underflows ahead
-    of the polynomials.  On (0, inf) eta is its own distance from 0; on
-    (-1, 1) the distances are 1 + eta and 1 - eta.  A magnitude beyond the
-    float range raises OverflowError from exp: gram reports it."""
+def _phi(sys: XSystem, polys: list[Poly], eta: Sequence[float], d_lo: Sequence[float],
+         d_hi: Sequence[float]) -> list[list[float]]:
+    """Phi[n](eta) = sqrt(w) p_n / xi at each node, one list per polynomial
+    (p_n and xi by Poly.float_values), with d_lo and d_hi the nodes' distances
+    from the ends; sign times exp of a log-space magnitude, so the weight factor
+    neither overflows nor underflows ahead of the polynomials.  A magnitude
+    beyond the float range raises OverflowError from exp: gram reports it."""
     w = sys.weight
     s, a, b, c = float(w.s), float(w.a), float(w.b), float(w.c)
-    coeffs, cxi = [p.float_coeffs() for p in polys], sys.xi.float_coeffs()
     exp, log, copysign = math.exp, math.log, math.copysign
-
-    def phi(eta, d_lo, d_hi) -> list[list[float]]:
-        log_w = [s * e for e in eta]
-        for k, dist in ((a, eta), (b, d_hi), (c, d_lo)):
-            if k:
-                log_w = [x + k * log(d) for x, d in zip(log_w, dist)]
-        log_half = [0.5 * x - log(abs(q)) for x, q in zip(log_w, _horner_nodes(cxi, eta))]
-        return [[copysign(exp(x + log(abs(v))), v) if v else 0.0
-                 for x, v in zip(log_half, _horner_nodes(cs, eta))] for cs in coeffs]
-
-    return phi
+    log_w = [s * e for e in eta]
+    for k, dist in ((a, eta), (b, d_hi), (c, d_lo)):
+        if k:
+            log_w = [x + k * log(d) for x, d in zip(log_w, dist)]
+    log_half = [0.5 * x - log(abs(q)) for x, q in zip(log_w, sys.xi.float_values(eta))]
+    return [[copysign(exp(x + log(abs(v))), v) if v else 0.0
+             for x, v in zip(log_half, p.float_values(eta))] for p in polys]
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def gram(sys: XSystem, N: int) -> GramReport:
     """
     if N < 2:
         raise ValueError(f"{sys.label}: need at least two levels")
-    phi = _phi(sys, [level_poly(sys, n) for n in range(N)])
+    polys = [level_poly(sys, n) for n in range(N)]
     pairs = [(i, j) for i in range(N) for j in range(i, N)]
     prev, n_nodes, level = None, 0, 1
     total = [0.0] * len(pairs)
@@ -158,7 +154,7 @@ def gram(sys: XSystem, N: int) -> GramReport:
         while block := list(islice(points, _BLOCK)):
             eta, d_lo, d_hi, weights = zip(*block)
             try:
-                v = phi(eta, d_lo, d_hi)
+                v = _phi(sys, polys, eta, d_lo, d_hi)
             except OverflowError:
                 raise beyond_floats() from None
             vw = [list(map(mul, row, weights)) for row in v]

@@ -58,12 +58,12 @@ class Params:
 
     def __post_init__(self):
         _require(type(self.ell) is int and self.ell >= 0,  # a bool is no degree either
-                 "ell must be an integer >= 0, got {!r}", self.ell)
+                 "ell must be an integer >= 0, got {}", self.ell)
         for name in ("alpha",) if self.beta is None else ("alpha", "beta"):
             try:
                 object.__setattr__(self, name, rat(getattr(self, name)))
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                _require(False, name + " must be a rational number, got {!r}", getattr(self, name))
+                _require(False, name + " must be a rational number, got {}", getattr(self, name))
 
 
 class ParameterError(ValueError):
@@ -195,7 +195,7 @@ class XSystem:
         """'case l2 (ell=1, alpha=-2, beta=None)': how error messages name the system."""
         p = self.params
         return "case {} (ell={}, alpha={}, beta={})".format(
-            self.case.value, *map(_Exact, (p.ell, p.alpha, p.beta)))
+            self.case.value, *map(_exact, (p.ell, p.alpha, p.beta)))
 
     @cached_property
     def residual_operator(self) -> tuple[Poly, Poly, Poly, Poly]:
@@ -231,29 +231,17 @@ class XSystem:
 # construction
 # ---------------------------------------------------------------------------
 
-class _Exact:
-    """A value for a message that prints an int or Fraction at any length:
-    CPython's str() and repr() refuse an int of more than 4,300 digits."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __format__(self, spec: str) -> str:
-        v = self.value
-        return rat_str(v) if type(v) in (int, Fraction) else format(v, spec)
-
-    def __repr__(self) -> str:
-        v = self.value
-        if type(v) is Fraction:
-            return f"Fraction({rat_str(v.numerator)}, {rat_str(v.denominator)})"
-        return rat_str(v) if type(v) is int else repr(v)
+def _exact(v) -> str:
+    """v for a message: an int or Fraction at any length (CPython's str()
+    refuses an int of more than 4,300 digits), anything else by repr."""
+    return rat_str(v) if type(v) in (int, Fraction) else repr(v)
 
 
 def _require(cond: bool, message: str, *values) -> None:
     """Raise ParameterError unless cond.  The message is a str.format
     template for `values`, filled only when the check fails."""
     if not cond:
-        message = message.format(*map(_Exact, values))
+        message = message.format(*map(_exact, values))
         raise ParameterError(f"parameter constraint violated: {message}")
 
 
@@ -461,18 +449,10 @@ def ode_residual(sys: XSystem, n: int, poly: Optional[Poly] = None) -> Poly:
 # ---------------------------------------------------------------------------
 # float evaluation over lists of points
 # ---------------------------------------------------------------------------
-# plain Python floats, node by node, so that no command loads numpy: exp,
-# pow, sin and cos come from libm, and every + - * / keeps its order, so
-# the printed floats stay byte-identical to tests/golden_stdout.json
-
-
-def _horner_nodes(coeffs: list[float], etas: list[float]) -> list[float]:
-    """Float Horner evaluation of ascending coefficients, as acc * eta + c at
-    every node, one coefficient at a time over the whole list."""
-    acc = [0.0] * len(etas)
-    for c in reversed(coeffs):
-        acc = [a * e + c for a, e in zip(acc, etas)]
-    return acc
+# plain Python floats, node by node, so that no command loads numpy: every
+# polynomial goes through Poly.float_values (as does quadrature's), exp, pow,
+# sin and cos come from libm, and every + - * / keeps its order, so the
+# printed floats stay byte-identical to tests/golden_stdout.json
 
 
 def _quotient(num, den: list[float]) -> list[float]:
@@ -518,10 +498,8 @@ def potential_eval(sys: XSystem, x):
     """V(x) from the prepotential and deforming function; x is a float, or a
     sequence of floats for a list of values."""
     xs, eta, single = _interior(sys, x)
-    xi, dxi, dot2, q, ddot, c1 = (
-        _horner_nodes(p.float_coeffs(), eta)
-        for p in (sys.xi, sys.xi.derivative(), sys.eta_dot2, sys.Q, sys.eta_ddot, sys.c1)
-    )
+    xi, dxi, dot2, q, ddot, c1 = (p.float_values(eta) for p in (
+        sys.xi, sys.xi.derivative(), sys.eta_dot2, sys.Q, sys.eta_ddot, sys.c1))
     sgn = sys.c2_sign
     e = sgn * float(sys.xi_tilde_E)
     # a node too near a wall gives inf or nan, silently: tridiag_from_potential names it
@@ -542,6 +520,6 @@ def wavefunction_eval(sys: XSystem, level: int, x):
     else:  # (1 - eta)^(nu/2) (1 + eta)^(nu'/2): 1 - eta = 2 sin^2 x, 1 + eta = 2 cos^2 x
         u, v = (float(w.nu / 2) for w in sys.walls)
         value = [(2 * math.sin(t) ** 2) ** u * (2 * math.cos(t) ** 2) ** v for t in xs]
-    top = [w * p for w, p in zip(value, _horner_nodes(P.float_coeffs(), eta))]
-    psi = _quotient(top, _horner_nodes(sys.xi.float_coeffs(), eta))
+    top = [w * p for w, p in zip(value, P.float_values(eta))]
+    psi = _quotient(top, sys.xi.float_values(eta))
     return psi[0] if single else psi

@@ -304,12 +304,15 @@ def gram_reference(sys: XSystem, N: int, level: int = 7) -> list[list[float]]:
 
 
 def seed_flipped_coeff(monkeypatch, poly: Poly) -> None:
-    """The defect each accuracy test must catch: ``Poly.float_coeffs`` of poly,
-    and of no other polynomial, flips the sign of its lowest nonzero term."""
-    cs, float_coeffs = poly.float_coeffs(), Poly.float_coeffs
+    """The defect each accuracy test must catch: ``Poly.float_values`` of poly,
+    and of no other polynomial, evaluates poly with the sign of its lowest
+    nonzero term flipped."""
+    cs, float_values = list(poly.coeffs), Poly.float_values
     k = next(i for i, c in enumerate(cs) if c)
     cs[k] = -cs[k]
-    monkeypatch.setattr(Poly, "float_coeffs", lambda p: list(cs) if p == poly else float_coeffs(p))
+    flipped = Poly(cs)
+    monkeypatch.setattr(Poly, "float_values",
+                        lambda p, etas: float_values(flipped if p == poly else p, etas))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +358,8 @@ def integrate(f: Callable, domain: Interval, rtol: float = _RTOL) -> float:
 def inner_product(sys: XSystem, n: int, m: int, rtol: float = _RTOL) -> float:
     """<p_n, p_m> under the system's orthogonality weight (level-indexed)."""
     import numpy as np
-    phi = _phi(sys, [level_poly(sys, n), level_poly(sys, m)])
-    return integrate(lambda *pts: np.prod(phi(*(p.tolist() for p in pts)), axis=0),
+    polys = [level_poly(sys, n), level_poly(sys, m)]
+    return integrate(lambda *pts: np.prod(_phi(sys, polys, *(p.tolist() for p in pts)), axis=0),
                      sys.domain_eta, rtol=rtol)
 
 

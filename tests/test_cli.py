@@ -276,6 +276,14 @@ def test_version_is_the_package_version(runner):
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == exopoly.__version__
 
 
+@pytest.mark.skipif(not hasattr(click.exceptions, "NoSuchCommand"),
+                    reason="click < 8.2 offers no close command names")
+def test_unknown_command_suggests_the_nearest():
+    res = _main("verfy")
+    assert res.returncode == 1 and res.stdout == ""
+    assert "No such command 'verfy'. Did you mean 'verify'?" in res.stderr
+
+
 def test_spectrum_command(runner):
     res = run(runner, "spectrum", "--case", "l2", "--ell", "1", "--alpha", "-2",
               "-k", "3", "--points", "1200")

@@ -57,6 +57,12 @@ def test_import_loads_no_numpy():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_loads_no_difflib():
+    # only an unknown command's "Did you mean" needs difflib; click loads none
+    res = _fresh("import sys, exopoly.cli; assert 'difflib' not in sys.modules")
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["--version"],
     ["construct", "--case", "extj", "--ell", "2", "--alpha", "-5/2", "--beta", "-5/2",
@@ -94,9 +100,12 @@ def test_gram_commands_load_no_numpy(args):
 def test_type_hints_resolve_without_numpy():
     res = _fresh(
         "import sys, typing\n"
+        "from exopoly.polycore import Poly\n"
+        "from exopoly.quadrature import _phi\n"
         "from exopoly.spectral import GridSpec, Tridiag, tridiag_from_potential\n"
         "from exopoly.systems import XSystem\n"
-        "for obj in (Tridiag, GridSpec.interior, tridiag_from_potential, XSystem):\n"
+        "for obj in (Tridiag, GridSpec.interior, tridiag_from_potential, XSystem,\n"
+        "            Poly.float_values, _phi):\n"
         "    typing.get_type_hints(obj)\n"
         "assert 'numpy' not in sys.modules")
     assert res.returncode == 0, res.stderr

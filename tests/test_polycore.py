@@ -20,7 +20,7 @@ from exopoly.polycore import (
     rat_str,
     sturm_count,
 )
-from exopoly.systems import Case, Params, _horner_nodes, build_system, exceptional_poly
+from exopoly.systems import Case, Params, build_system, exceptional_poly
 
 from oracles import IncompatiblePrefactorError, QuasiPoly, quasi_extract
 
@@ -327,7 +327,7 @@ def test_float_eval_matches_exact_within_1e12(p, x):
     magnitude = sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
     assume(abs(exact) >= F(1, 1000) * magnitude)
     assume(exact != 0)
-    approx = _horner_nodes(p.float_coeffs(), [float(x)])[0]
+    approx = p.float_values([float(x)])[0]
     assert abs(approx - float(exact)) <= 1e-12 * abs(float(exact))
 
 

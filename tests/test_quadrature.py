@@ -198,7 +198,7 @@ def test_weight_positive_at_all_nodes():
         sys = build_system(case, params)
         nodes = [p for lv in range(1, 9) for p in _ts_points(sys.domain_eta, lv)]
         eta, d_lo, d_hi, _ = zip(*nodes)
-        weight = [v * v for v in _phi(sys, [ONE])(eta, d_lo, d_hi)[0]]
+        weight = [v * v for v in _phi(sys, [ONE], eta, d_lo, d_hi)[0]]
         assert all(map(math.isfinite, weight)), case
         assert all(w >= 0 for w in weight), case
         assert all(w > 0 for w, x in zip(weight, eta) if x < 700.0), case

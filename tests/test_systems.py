@@ -120,8 +120,9 @@ def test_extj_sign_test_failure_names_the_case(beta, shown):
 def test_non_integer_degree_rejected(ell):
     with pytest.raises(ParameterError) as err:
         Params(ell, -3)
-    assert str(err.value) == ("parameter constraint violated: ell must be an integer >= 0, "
-                              f"got {ell!r}")
+    # a rational prints as p/q, as in every other message; the rest by repr
+    shown = "3/2" if isinstance(ell, F) else repr(ell)
+    assert str(err.value) == f"parameter constraint violated: ell must be an integer >= 0, got {shown}"
 
 
 @pytest.mark.parametrize("field, value", [
